@@ -62,8 +62,9 @@ def plan_blocked(executor) -> Optional[Tuple[str, str]]:
         )
     if network.link_faults is not None:
         return ("link-faults", "a LinkFaultModel is installed")
-    down = [n.node_id for n in network.topology if not n.alive]
-    if down:
+    alive = network.topology.alive_view()
+    if not alive.all():
+        down = network.topology.ids_view()[~alive].tolist()
         return ("node-down", f"nodes down: {down}")
     return None
 

@@ -58,6 +58,21 @@ class HopProgram:
     sent: int
     hops: int
     n_transfer_groups: int
+    #: ``(ledger, index)`` of the last ledger this program was applied
+    #: to; see :meth:`ledger_index`.
+    _ledger_cache: Optional[tuple] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def ledger_index(self, ledger):
+        """The program's node cells and link slots in ``ledger``
+        (:meth:`repro.wsn.ledger.TrafficLedger.program_index`), built
+        once per ledger."""
+        cache = self._ledger_cache
+        if cache is None or cache[0] is not ledger:
+            cache = (ledger, ledger.program_index(self))
+            object.__setattr__(self, "_ledger_cache", cache)
+        return cache[1]
 
     @property
     def n_links(self) -> int:

@@ -86,7 +86,7 @@ def inject(
     """
     for node in scenario.topology:
         node.alive = True
-        node.reset_counters()
+    scenario.topology.ledger.reset()
     sim = Simulator()
     trace = FaultTrace()
     clock = lambda: sim.now  # noqa: E731

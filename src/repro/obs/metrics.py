@@ -132,6 +132,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._series: Dict[SeriesKey, object] = {}
         self._collectors: List[Callable[["MetricsRegistry"], None]] = []
+        #: Bumped by :meth:`clear`; collectors that cache instruments
+        #: drop them when it changes.
+        self.generation = 0
 
     def __len__(self) -> int:
         return len(self._series)
@@ -209,6 +212,7 @@ class MetricsRegistry:
     def clear(self) -> None:
         """Drop every series (collectors stay registered)."""
         self._series = {}
+        self.generation += 1
 
     # -- mergeable snapshots ------------------------------------------------
     def snapshot(self) -> List[List]:

@@ -18,6 +18,10 @@ Workloads:
   route replay dominates); byte-identical logits and exactly equal
   traffic counters are asserted untimed before the clocks start, so
   the committed speedup certifies an equivalent computation;
+- ``forward_plan_district`` — the same comparison on a 1,024-node
+  district (32x32 grid and field, batch 8, telemetry on), where the
+  per-node traffic accounting would dominate without the columnar
+  ledger;
 - ``forward_masked_dead20`` — failure masking with 20 % dead nodes,
   fancy-indexed zeroing vs. the per-position hook loop;
 - ``im2col_unfold`` — pooling-regime patch extraction with the
@@ -292,6 +296,85 @@ def bench_forward_plan(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
         "params": {"batch": batch, "input_hw": list(input_hw),
                    "node_grid": [4, 4], "seed": seed},
         "input_digest": input_digest(x, extra=f"forward_plan seed={seed}"),
+        "timing": timing.to_dict(),
+        "reference_timing": reference.to_dict(),
+        "speedup": reference.best_s / timing.best_s,
+        "counters": counters.to_dict(),
+    }
+
+
+def bench_forward_plan_district(
+    protocol: BenchProtocol, seed: int, quick: bool
+) -> Dict:
+    """Compiled-plan forward vs. the event-driven oracle on a district:
+    a 32x32 grid (1,024 nodes) under a 32x32 field, batch 8, telemetry
+    on.
+
+    At this size the compiled forward's cost is dominated by what
+    grows with node count — the traffic accounting, which the
+    topology's columnar ledger applies as two fancy-indexed adds.  The
+    same untimed parity gate as ``forward_plan`` runs first:
+    byte-identical logits and every traffic counter equal.  Quick mode
+    shrinks the district to 16x16 to stay inside tier-1 budgets.
+    """
+    from repro.obs.runtime import Telemetry
+
+    batch = 8
+    side = 16 if quick else 32
+    input_hw = (side, side)
+    node_grid = (side, side)
+    tel = Telemetry()
+    __, __, __, __, network, executor = _scenario(
+        seed, input_hw, node_grid, telemetry=tel
+    )
+    rng = np.random.default_rng(seed + 12)
+    x = rng.normal(size=(batch, 1) + input_hw)
+    plan = executor.compiled_plan()  # compile outside the timers
+    counters = CounterRegistry()
+
+    network.reset_stats()
+    out_plan = executor.forward(x)
+    plan_stats = _full_stats(network)
+    network.reset_stats()
+    out_oracle = executor.forward(x, plan=None)
+    oracle_stats = _full_stats(network)
+    if out_plan.tobytes() != out_oracle.tobytes():
+        raise AssertionError(  # pragma: no cover - parity contract
+            "district plan logits diverged from the event-driven oracle"
+        )
+    if plan_stats != oracle_stats:
+        raise AssertionError(  # pragma: no cover - parity contract
+            "district compiled traffic accounting diverged from the oracle"
+        )
+    drift = network.telemetry_drift()
+    if drift:
+        raise AssertionError(  # pragma: no cover - parity contract
+            f"district telemetry drift: {drift[:3]}"
+        )
+    counters.set("parity_logits_identical", 1.0)
+    counters.set("parity_stats_equal", 1.0)
+    describe = plan.describe()
+    counters.set("n_nodes", side * side)
+    counters.set("n_links", describe["links"])
+    counters.set("values_per_inference", describe["values_per_inference"])
+    counters.set("batch", batch)
+
+    def setup() -> None:
+        network.reset_stats()
+        tel.clear()  # spans would grow without bound
+
+    timing = measure(lambda __: executor.forward(x), protocol, setup=setup)
+    reference = measure(
+        lambda __: executor.forward(x, plan=None), protocol, setup=setup
+    )
+    setup()
+    return {
+        "name": "forward_plan_district",
+        "params": {"batch": batch, "input_hw": list(input_hw),
+                   "node_grid": list(node_grid), "seed": seed},
+        "input_digest": input_digest(
+            x, extra=f"forward_plan_district seed={seed} side={side}"
+        ),
         "timing": timing.to_dict(),
         "reference_timing": reference.to_dict(),
         "speedup": reference.best_s / timing.best_s,
@@ -1223,6 +1306,7 @@ _BENCHMARKS = (
     bench_traffic_replay,
     bench_forward_e2e,
     bench_forward_plan,
+    bench_forward_plan_district,
     bench_forward_masked,
     bench_im2col_unfold,
     bench_sim_events,

@@ -6,36 +6,73 @@ counts both packets and values at every hop so the distributed
 executor's measured costs can be checked against the static cost model
 (a property the test suite enforces).
 
-All per-hop tallies — node counters, aggregate stats, per-link values
-— advance through the single :meth:`Network._account_hop` choke point,
-and drops are attributed to a cause (``fault`` / ``loss`` /
-``unroutable``).  When a telemetry session is installed
-(:mod:`repro.obs`), the network registers a pull collector that mirrors
-its counters into the metrics registry with zero hot-path overhead,
-and :meth:`telemetry_drift` re-derives every tally three ways as a
-reconciliation assertion (the chaos suite runs it under lossy
-``unicast_bulk`` fallback).
+Every per-node and per-link tally lives in the topology's columnar
+:class:`~repro.wsn.ledger.TrafficLedger`, written per hop by
+:meth:`Network._account_hop` and per batch by
+:meth:`Network.account_compiled`; node counters and the per-node
+:class:`TrafficStats` values are views of it.  Drops are attributed to
+a cause (``fault`` / ``loss`` / ``unroutable``).  Under a telemetry
+session (:mod:`repro.obs`) pull collectors mirror the scalars and the
+ledger into the metrics registry with zero hot-path overhead, and
+:meth:`telemetry_drift` reconciles them (the chaos suite runs it under
+lossy ``unicast_bulk`` fallback).
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
+from repro.wsn.ledger import (
+    RX_PACKETS,
+    RX_VALUES,
+    TX_PACKETS,
+    TX_VALUES,
+    CounterView,
+    TrafficWindow,
+)
 from repro.wsn.routing import shortest_path_route
 from repro.wsn.topology import Topology
 
 
 @dataclass
 class Message:
-    """A unicast application message."""
+    """A unicast application message; ``n_values`` must be a
+    non-negative integer (``ValueError`` otherwise)."""
 
     src: int
     dst: int
     n_values: int  # number of scalar values carried (MicroDeep's unit)
     kind: str = "data"
+
+    def __post_init__(self) -> None:
+        n = self.n_values
+        if n.__class__ is not int or n < 0:
+            if not isinstance(n, (int, bool)) and hasattr(n, "__index__"):
+                self.n_values = operator.index(n)  # numpy integers
+            _check_values(self)
+
+
+def _check_values(message: Message) -> None:
+    """Raise unless ``message.n_values`` is a non-negative ``int`` (the
+    send paths re-check: a message may be mutated after construction)."""
+    n = message.n_values
+    if n.__class__ is not int or n < 0:
+        raise ValueError(
+            f"n_values must be a non-negative integer, got {message!r}"
+        )
+
+
+def _copies(copies) -> int:
+    """Validate a bulk send's message count (``TypeError`` unless an
+    integer)."""
+    copies = operator.index(copies)
+    if copies < 0:
+        raise ValueError(f"copies must be non-negative, got {copies}")
+    return copies
 
 
 @dataclass
@@ -48,8 +85,11 @@ class TrafficStats:
     corrupted: int = 0
     duplicated: int = 0
     total_hops: int = 0
-    per_node_rx_values: Dict[int, int] = field(default_factory=dict)
-    per_node_tx_values: Dict[int, int] = field(default_factory=dict)
+    #: node id -> values received / sent.  A network's stats hold live
+    #: views of its own share of the topology's ledger (a node is a key
+    #: iff it received / sent at least one packet through the network).
+    per_node_rx_values: Mapping[int, int] = field(default_factory=dict)
+    per_node_tx_values: Mapping[int, int] = field(default_factory=dict)
     #: Drops attributed to why they happened: ``"fault"`` (injected
     #: link fault), ``"loss"`` (random loss after retries), or
     #: ``"unroutable"`` (no route).  Sums to :attr:`dropped`.
@@ -110,39 +150,45 @@ class Network:
         self.max_retries = max_retries
         self._rng = rng
         self.link_faults = link_faults
-        self.stats = TrafficStats()
+        #: The topology's traffic ledger: every per-node and per-link
+        #: counter, shared by all networks over the topology.
+        self.ledger = topology.ledger
+        self.stats = self._fresh_stats()
         if telemetry is None:
             from repro.obs.runtime import current
 
             telemetry = current()
         self._telemetry = telemetry
-        #: (src, dst) -> values carried over that link; tracked only
-        #: while telemetry is enabled (per-link series in the trace).
-        self._link_values: Optional[Dict[Tuple[int, int], int]] = (
-            {} if telemetry.enabled else None
-        )
-        #: Metric values this network has pushed into the registry so
-        #: far; the collector pushes deltas, making repeated collects
-        #: idempotent and :meth:`reset_stats` retractable.
+        #: Scalar metric values this network has pushed into the
+        #: registry so far; the collector pushes deltas, making repeated
+        #: collects idempotent and :meth:`reset_stats` retractable.
         self._pushed: Dict[tuple, float] = {}
         if telemetry.enabled:
             telemetry.metrics.register_collector(self._sync_metrics)
+            self.ledger.attach(telemetry.metrics)
+
+    def _fresh_stats(self) -> TrafficStats:
+        """Empty stats whose per-node values are views of this
+        network's share of the ledger (its :class:`TrafficWindow`)."""
+        window = self._window = TrafficWindow(self.ledger)
+        return TrafficStats(
+            per_node_rx_values=CounterView(window, RX_PACKETS, RX_VALUES),
+            per_node_tx_values=CounterView(window, TX_PACKETS, TX_VALUES),
+        )
 
     def reset_stats(self) -> None:
+        """Zero this network's stats and every traffic counter of the
+        topology, retracting both from this network's registry."""
         tel = self._telemetry
         if tel.enabled and self._pushed:
-            # Retract this network's contribution so the registry keeps
-            # mirroring the (now reset) stats exactly.
             for key, value in self._pushed.items():
                 name = key[0]
                 labels = dict(key[1:])
                 tel.metrics.counter(name, **labels).value -= value
         self._pushed = {}
-        if self._link_values is not None:
-            self._link_values = {}
-        self.stats = TrafficStats()
-        for node in self.topology:
-            node.reset_counters()
+        self._window.close()  # the old stats object keeps its values
+        self.ledger.reset(retract_from=tel.metrics if tel.enabled else None)
+        self.stats = self._fresh_stats()
 
     def _hop_succeeds(self) -> bool:
         if self.loss_probability == 0.0:
@@ -156,27 +202,12 @@ class Network:
     def _account_hop(
         self, hop_src: int, hop_dst: int, n_packets: int, n_values: int
     ) -> None:
-        """The single place per-hop traffic is tallied: node counters,
-        aggregate stats, and per-link telemetry advance together here,
-        so the three views cannot drift."""
-        src_node = self.topology.node(hop_src)
-        dst_node = self.topology.node(hop_dst)
-        src_node.tx_count += n_packets
-        src_node.tx_values += n_values
-        dst_node.rx_count += n_packets
-        dst_node.rx_values += n_values
-        stats = self.stats
-        stats.per_node_tx_values[hop_src] = (
-            stats.per_node_tx_values.get(hop_src, 0) + n_values
+        """The single place event-path hops are tallied: the ledger
+        (node and link counters) and the hop total."""
+        self.ledger.add_hop(
+            self._window, hop_src, hop_dst, n_packets, n_values
         )
-        stats.per_node_rx_values[hop_dst] = (
-            stats.per_node_rx_values.get(hop_dst, 0) + n_values
-        )
-        stats.total_hops += n_packets
-        link_track = self._link_values
-        if link_track is not None:
-            key = (hop_src, hop_dst)
-            link_track[key] = link_track.get(key, 0) + n_values
+        self.stats.total_hops += n_packets
 
     def _drop(self, cause: str, count: int = 1) -> None:
         """Account ``count`` dropped messages attributed to ``cause``."""
@@ -192,8 +223,12 @@ class Network:
         Counters: every transmitting node's ``tx_*`` and every
         receiving node's ``rx_*`` increase at each hop, so relays pay
         for forwarded traffic — the effect MicroDeep's assignment is
-        designed to balance.
+        designed to balance.  Raises ``ValueError`` when
+        ``message.n_values`` is negative or not an integer.
         """
+        n = message.n_values
+        if n.__class__ is not int or n < 0:
+            _check_values(message)
         self.stats.sent += 1
         route = self.router(self.topology, message.src, message.dst)
         if route is None:
@@ -246,9 +281,11 @@ class Network:
         Lossy or fault-injected links draw per-message randomness, so
         aggregation would change the RNG stream; in that case this
         falls back to the per-message loop, preserving exact behaviour.
+        ``copies`` must be a non-negative integer (``TypeError`` /
+        ``ValueError``), as must ``message.n_values``.
         """
-        if copies < 0:
-            raise ValueError(f"copies must be non-negative, got {copies}")
+        copies = _copies(copies)
+        _check_values(message)
         if copies == 0:
             return 0
         if self.loss_probability > 0.0 or self.link_faults is not None:
@@ -282,8 +319,7 @@ class Network:
         this on a lossy or fault-injected network is a programming
         error and raises.
         """
-        if copies < 0:
-            raise ValueError(f"copies must be non-negative, got {copies}")
+        copies = _copies(copies)
         if copies == 0:
             return 0
         if self.loss_probability > 0.0 or self.link_faults is not None:
@@ -296,37 +332,7 @@ class Network:
         stats.sent += delivered
         stats.delivered += delivered
         stats.total_hops += program.hops * copies
-        for node_id, packets, values in zip(
-            program.tx_nodes.tolist(),
-            program.tx_packets.tolist(),
-            program.tx_values.tolist(),
-        ):
-            node = self.topology.node(node_id)
-            node.tx_count += packets * copies
-            node.tx_values += values * copies
-            stats.per_node_tx_values[node_id] = (
-                stats.per_node_tx_values.get(node_id, 0) + values * copies
-            )
-        for node_id, packets, values in zip(
-            program.rx_nodes.tolist(),
-            program.rx_packets.tolist(),
-            program.rx_values.tolist(),
-        ):
-            node = self.topology.node(node_id)
-            node.rx_count += packets * copies
-            node.rx_values += values * copies
-            stats.per_node_rx_values[node_id] = (
-                stats.per_node_rx_values.get(node_id, 0) + values * copies
-            )
-        link_track = self._link_values
-        if link_track is not None:
-            for src, dst, values in zip(
-                program.link_src.tolist(),
-                program.link_dst.tolist(),
-                program.link_values.tolist(),
-            ):
-                key = (src, dst)
-                link_track[key] = link_track.get(key, 0) + values * copies
+        self.ledger.add_program(self._window, program, copies)
         return delivered
 
     def broadcast_from(self, src: int, n_values: int) -> int:
@@ -342,11 +348,12 @@ class Network:
 
     # -- telemetry ----------------------------------------------------------
     def _sync_metrics(self, registry) -> None:
-        """Pull collector: mirror the traffic stats into the metrics
-        registry by pushing deltas since the previous collect.  The
-        registry ends up holding exactly what the stats hold (summed
-        across networks sharing the session), with zero per-packet
-        overhead on the send paths."""
+        """Pull collector: mirror this network's scalar stats into the
+        metrics registry by pushing deltas since the previous collect
+        (summed across networks sharing the session).  Per-node and
+        per-link series come from the ledger's own collector
+        (:class:`~repro.wsn.ledger.LedgerSync`), registered once per
+        ledger per registry."""
         stats = self.stats
         pushed = self._pushed
 
@@ -365,36 +372,24 @@ class Network:
         push("net.hops", stats.total_hops)
         for cause, value in stats.dropped_causes.items():
             push("net.dropped_causes", value, cause=cause)
-        for node, value in stats.per_node_rx_values.items():
-            push("net.rx_values", value, node=node)
-        for node, value in stats.per_node_tx_values.items():
-            push("net.tx_values", value, node=node)
-        if self._link_values:
-            for (src, dst), value in self._link_values.items():
-                push("net.link_values", value, src=src, dst=dst)
 
     def telemetry_drift(self) -> List[str]:
-        """Reconciliation assertion: re-derive every tally from its
-        three sources — per-node counters on the nodes, the aggregate
-        :class:`TrafficStats`, and (when a session is installed and
-        this network is its only traffic source) the metrics registry
-        — and describe every mismatch.  Returns ``[]`` when all views
-        agree, which the chaos suite asserts under lossy
-        ``unicast_bulk`` fallback."""
+        """Reconciliation assertion: check the outcome partition, the
+        drop-cause sum and per-link value conservation, and (when a
+        session is installed and this topology is its only traffic
+        source) that the metrics registry mirrors the counters.
+        Returns ``[]`` when everything agrees, which the chaos suite
+        asserts under lossy ``unicast_bulk`` fallback."""
         problems: List[str] = []
         stats = self.stats
-        for node in self.topology:
-            for attr, per_node in (
-                ("rx_values", stats.per_node_rx_values),
-                ("tx_values", stats.per_node_tx_values),
-            ):
-                have = getattr(node, attr)
-                want = per_node.get(node.node_id, 0)
-                if have != want:
-                    problems.append(
-                        f"node {node.node_id} {attr}: counter {have} != "
-                        f"stats {want}"
-                    )
+        ledger = self.ledger
+        link_total = int(ledger.links().sum())
+        rx_total = int(ledger.nodes[RX_VALUES].sum())
+        if link_total != rx_total:
+            problems.append(
+                f"per-link values {link_total} != per-node rx total "
+                f"{rx_total}"
+            )
         if stats.sent != stats.delivered + stats.dropped + stats.corrupted:
             problems.append(
                 f"outcomes do not partition sends: sent {stats.sent} != "
@@ -424,26 +419,15 @@ class Network:
                     problems.append(
                         f"registry {name}: {have} != stats {want}"
                     )
-            for node, want in stats.per_node_rx_values.items():
-                have = registry.value("net.rx_values", node=node)
-                if have != want:
-                    problems.append(
-                        f"registry net.rx_values node {node}: {have} != "
-                        f"stats {want}"
-                    )
-            for node, want in stats.per_node_tx_values.items():
-                have = registry.value("net.tx_values", node=node)
-                if have != want:
-                    problems.append(
-                        f"registry net.tx_values node {node}: {have} != "
-                        f"stats {want}"
-                    )
-            if self._link_values is not None:
-                link_total = sum(self._link_values.values())
-                rx_total = sum(stats.per_node_rx_values.values())
-                if link_total != rx_total:
-                    problems.append(
-                        f"per-link values {link_total} != per-node rx "
-                        f"total {rx_total}"
-                    )
+            for name, per_node in (
+                ("net.rx_values", stats.per_node_rx_values),
+                ("net.tx_values", stats.per_node_tx_values),
+            ):
+                for node, want in per_node.items():
+                    have = registry.value(name, node=node)
+                    if have != want:
+                        problems.append(
+                            f"registry {name} node {node}: {have} != "
+                            f"stats {want}"
+                        )
         return problems

@@ -6,6 +6,14 @@ import math
 from typing import Optional, Tuple
 
 from repro.energy.capacitor import Capacitor
+from repro.wsn.ledger import (
+    RX_PACKETS,
+    RX_VALUES,
+    TX_PACKETS,
+    TX_VALUES,
+    UnboundCounts,
+    cell_property,
+)
 
 
 class SensorNode:
@@ -14,6 +22,10 @@ class SensorNode:
     MicroDeep assigns CNN units to these nodes; the WSN network layer
     accounts traffic per node.  The optional capacitor turns the node
     into a harvested zero-energy device (experiment E8).
+
+    The traffic counters (``tx_count``, ``rx_count``, ``tx_values``,
+    ``rx_values``) read and write cells of the owning topology's
+    :class:`~repro.wsn.ledger.TrafficLedger`.
 
     ``alive`` and ``position`` are properties: mutating either bumps
     the owning :class:`~repro.wsn.topology.Topology`'s epoch counter so
@@ -35,15 +47,20 @@ class SensorNode:
         rx_values: int = 0,
     ) -> None:
         self._topology = None
+        self._ledger = UnboundCounts(
+            (tx_count, tx_values, rx_count, rx_values)
+        )
+        self._slot = 0
         self.node_id = node_id
         self.position = position
         self.capacitor = capacitor
         self.alive = alive
-        #: Cumulative traffic counters maintained by the network layer.
-        self.tx_count = tx_count
-        self.rx_count = rx_count
-        self.tx_values = tx_values
-        self.rx_values = rx_values
+
+    # -- traffic counters (cells of the topology's ledger) ------------------
+    tx_count = cell_property(TX_PACKETS, "Packets this node transmitted.")
+    tx_values = cell_property(TX_VALUES, "Values this node transmitted.")
+    rx_count = cell_property(RX_PACKETS, "Packets this node received.")
+    rx_values = cell_property(RX_VALUES, "Values this node received.")
 
     # -- geometry-mutating fields (epoch-invalidating) ----------------------
     @property
@@ -106,7 +123,4 @@ class SensorNode:
         self.alive = False
 
     def reset_counters(self) -> None:
-        self.tx_count = 0
-        self.rx_count = 0
-        self.tx_values = 0
-        self.rx_values = 0
+        self._ledger.reset_node(self._slot)

@@ -9,7 +9,10 @@ construction run on a grid-hash spatial index
 (:mod:`repro.wsn.spatial`) with cell size ``comm_range``, so a query
 inspects the 3x3 cell neighborhood instead of all n nodes and the
 graph is assembled from CSR-style sparse adjacency built in one
-vectorized cell-pair pass instead of the O(n^2) double loop.
+vectorized cell-pair pass instead of the O(n^2) double loop.  The
+nodes' traffic counters live beside those arrays in the topology's
+:class:`~repro.wsn.ledger.TrafficLedger` (counter writes never touch
+the epoch).
 
 The pre-optimization brute-force implementations are kept verbatim as
 ``*_reference`` parity oracles (the repo's established idiom); the
@@ -24,6 +27,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
+from repro.wsn.ledger import TrafficLedger
 from repro.wsn.node import SensorNode
 from repro.wsn.spatial import GridHashIndex, SparseAdjacency, build_adjacency
 
@@ -80,8 +84,16 @@ class Topology:
         self._adjacency: Optional[SparseAdjacency] = None
         self._graph_epoch = -1
         self._graph: Optional[nx.Graph] = None
-        for n in self._nodes_list:
-            n._topology = self
+        #: Every traffic counter of these nodes (see
+        #: :mod:`repro.wsn.ledger`), seeded from the nodes' own counts.
+        self.ledger = TrafficLedger(
+            self._ids, self._index_of,
+            np.array([[n.tx_count, n.tx_values, n.rx_count, n.rx_values]
+                      for n in self._nodes_list],
+                     dtype=np.int64).reshape(-1, 4).T,
+        )
+        for slot, n in enumerate(self._nodes_list):
+            n._topology, n._ledger, n._slot = self, self.ledger, slot
 
     def __len__(self) -> int:
         return len(self.nodes)

@@ -468,3 +468,94 @@ def test_sim_lint_detects_violations():
         "from repro.core.compiled.plan import CompiledPlan\n",
     ):
         assert not sim_imports_any_scope(ast.parse(src)), src
+
+
+def topology_walks(tree, methods):
+    """Per-node object walks inside the named methods: calls of
+    ``self.topology.node(...)`` and ``for`` loops or comprehensions
+    iterating over anything built from ``self.topology``.
+
+    The network layer's accounting and metric sync run on the
+    topology's columnar traffic ledger; a per-node object walk in
+    them would bring back the O(nodes) Python loop the ledger
+    replaced.
+    """
+
+    def is_self_topology(expr):
+        return (isinstance(expr, ast.Attribute)
+                and expr.attr == "topology"
+                and isinstance(expr.value, ast.Name)
+                and expr.value.id == "self")
+
+    def mentions_self_topology(expr):
+        return any(is_self_topology(sub) for sub in ast.walk(expr))
+
+    offenders = []
+    for func in ast.walk(tree):
+        if not (isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and func.name in methods):
+            continue
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "node"
+                    and is_self_topology(node.func.value)):
+                offenders.append(f"{func.name}:{node.lineno}")
+            elif (isinstance(node, (ast.For, ast.AsyncFor))
+                    and mentions_self_topology(node.iter)):
+                offenders.append(f"{func.name}:{node.lineno}")
+            elif (isinstance(node, ast.comprehension)
+                    and mentions_self_topology(node.iter)):
+                offenders.append(f"{func.name}:{node.iter.lineno}")
+    return offenders
+
+
+#: The network's hot accounting paths and its metric collector.
+_LEDGER_ONLY_METHODS = ("account_compiled", "_account_hop", "_sync_metrics")
+
+
+def test_network_accounting_never_walks_nodes():
+    path = SRC / "wsn" / "network.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    defined = {
+        node.name for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert set(_LEDGER_ONLY_METHODS) <= defined, (
+        "the lint targets moved: "
+        f"{set(_LEDGER_ONLY_METHODS) - defined} not found in network.py"
+    )
+    offenders = topology_walks(tree, _LEDGER_ONLY_METHODS)
+    assert offenders == [], (
+        "per-node object walks in the network's accounting paths (use "
+        f"the topology's traffic ledger): {offenders}"
+    )
+
+
+def test_topology_walk_lint_detects_violations():
+    methods = ("account_compiled",)
+    for src in (
+        "class N:\n    def account_compiled(self, p, c):\n"
+        "        self.topology.node(3).tx_count += c\n",
+        "class N:\n    def account_compiled(self, p, c):\n"
+        "        for node in self.topology:\n            pass\n",
+        "class N:\n    def account_compiled(self, p, c):\n"
+        "        for node in self.topology.nodes.values():\n"
+        "            pass\n",
+        "class N:\n    def account_compiled(self, p, c):\n"
+        "        return [n.rx_values for n in self.topology]\n",
+        "class N:\n    def account_compiled(self, p, c):\n"
+        "        return {n: 0 for n, m in zip(self.topology, p)}\n",
+    ):
+        assert topology_walks(ast.parse(src), methods), src
+    for src in (
+        "class N:\n    def account_compiled(self, p, c):\n"
+        "        self.ledger.add_program(p, c)\n",
+        "class N:\n    def reset_stats(self):\n"
+        "        for node in self.topology:\n            pass\n",
+        "class N:\n    def account_compiled(self, p, c):\n"
+        "        for node in p.tx_nodes:\n            pass\n",
+        "class N:\n    def account_compiled(self, p, c):\n"
+        "        return self.other.node(3)\n",
+    ):
+        assert not topology_walks(ast.parse(src), methods), src

@@ -102,6 +102,21 @@ class TestBenchCli:
         assert bench["reference_timing"]["best_s"] > 0
         assert bench["speedup"] > 0
 
+    def test_forward_plan_district_certifies_parity(self, quick_report):
+        """The district entry times the ledger-backed compiled
+        accounting at scale; its parity gate ran untimed first."""
+        __, report = quick_report
+        bench = next(
+            b for b in report["benchmarks"]
+            if b["name"] == "forward_plan_district"
+        )
+        counters = bench["counters"]
+        assert counters["parity_logits_identical"] == 1
+        assert counters["parity_stats_equal"] == 1
+        assert counters["n_nodes"] == 16 * 16  # quick-mode district
+        assert counters["batch"] == 8
+        assert bench["speedup"] > 2.0
+
     def test_forward_e2e_and_plan_measure_different_paths(
         self, quick_report
     ):
@@ -162,7 +177,8 @@ class TestBenchCli:
         names = [b["name"] for b in report["benchmarks"]]
         serial_names = [
             "im2col_unfold", "forward_e2e", "forward_plan",
-            "forward_masked_dead20", "local_backward", "train_epoch",
+            "forward_plan_district", "forward_masked_dead20",
+            "local_backward", "train_epoch",
             "sim_event_throughput", "traffic_replay_batched",
             "telemetry_overhead", "timeline_overhead", "sweep_scaling",
             "serve_throughput", "city_scale",
