@@ -34,7 +34,6 @@ from repro.core.costmodel import CommunicationCostModel, CostReport
 from repro.core.compiled import (
     CompiledPlan,
     HopProgram,
-    LayerMask,
     PlanNotCompilable,
     compile_plan,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "CostReport",
     "CompiledPlan",
     "HopProgram",
-    "LayerMask",
     "PlanNotCompilable",
     "compile_plan",
     "DistributedExecutor",

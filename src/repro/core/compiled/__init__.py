@@ -1,36 +1,35 @@
-"""Compiled inference plans: the steady-state fast path.
+"""Compiled inference plans: the forward path on ideal links.
 
-In steady state (no faults, no lossy links, every node up) the
-per-layer communication pattern of a placed CNN is fully static, so
-nothing about a forward pass needs to be decided at run time: the
-routes, the per-link traffic, even the failure-masking index arrays
-are all functions of the placement and the topology alone.  This
-package "compiles" that structure once into a flat ndarray program —
-precomputed per-layer gather/scatter index arrays plus hop groups
-with one batched traffic-accounting update each (the
-``traffic_replay_batched`` trick generalized to the whole forward) —
-which :meth:`CompiledPlan.run` then executes without touching the
-event loop.
+On ideal links the per-layer communication pattern of a placed CNN is
+fully static between topology changes, so nothing about a forward pass
+needs to be decided at run time: the routes and the per-link traffic
+are functions of the placement and the topology alone.  This package
+"compiles" that structure, once per topology epoch, into a flat
+ndarray program — hop groups with one batched traffic-accounting
+update each (the ``traffic_replay_batched`` trick generalized to the
+whole forward), unroutable messages included — which
+:meth:`CompiledPlan.run` then executes without touching the event
+loop.  A crash, brownout, recovery or move costs one recompile.
 
 The event-driven :class:`repro.core.DistributedExecutor` path stays
 as the parity oracle (the differential suite pins byte-identical
 logits and exactly equal traffic counters), and the executor falls
-back to it automatically the moment a fault adapter, lossy link
-model, or active brownout makes the static schedule unsound.
+back to it only while a lossy link model or an installed link-fault
+model draws per-message randomness.
 
 Import discipline: nothing in this package may import
-:mod:`repro.sim` — the whole point of a compiled plan is that the
-hot path can never regress into the event loop.  An AST lint in the
-test suite enforces it.
+:mod:`repro.sim` or ``networkx`` — the hot path can never regress into
+the event loop, and routes come only from the network's router, so the
+plan and the oracle cannot diverge.  An AST lint in the test suite
+enforces it.
 """
 
-from repro.core.compiled.plan import CompiledPlan, HopProgram, LayerMask
+from repro.core.compiled.plan import CompiledPlan, HopProgram
 from repro.core.compiled.compiler import PlanNotCompilable, compile_plan
 
 __all__ = [
     "CompiledPlan",
     "HopProgram",
-    "LayerMask",
     "PlanNotCompilable",
     "compile_plan",
 ]

@@ -9,15 +9,17 @@ experiment (E8) quantifies.
 
 Hot paths are vectorized (see README "Performance"):
 
-- in steady state (ideal links, every node up, no fault adapter) the
-  whole forward is served by a **compiled plan**
-  (:mod:`repro.core.compiled`): precomputed routes folded into one
-  batched traffic-accounting update, plus the unchanged layer
-  arithmetic — no per-transfer Python, no route lookups, no event
-  loop.  The ``plan=`` switch controls it (``"auto"`` by default);
-  the event-driven path below stays as the parity oracle and is
-  re-selected automatically the moment a fault adapter, lossy link
-  model, or active brownout appears;
+- on ideal links the whole forward is served by a **compiled plan**
+  (:mod:`repro.core.compiled`): routes resolved by the network's own
+  router folded into one batched traffic-accounting update, plus the
+  unchanged layer arithmetic — no per-transfer Python, no route
+  lookups, no event loop.  The plan is keyed on the topology epoch, so
+  a crash, brownout, recovery or move costs one recompile and messages
+  with no route are dropped as ``unroutable`` exactly like the oracle
+  drops them.  The ``plan=`` switch controls it (``"auto"`` by
+  default); the event-driven path below stays as the parity oracle
+  and is re-selected only while a lossy link model or an installed
+  link-fault model draws per-message randomness;
 - the event-driven traffic replay aggregates the transfer list per
   ``(layer, src, dst, n_values)`` and sends each group through
   :meth:`repro.wsn.Network.unicast_bulk` once, instead of one Python
@@ -68,7 +70,6 @@ class DistributedExecutor:
         placement: Placement,
         network: Network,
         telemetry=None,
-        fault_adapter=None,
     ) -> None:
         if graph.model is not model:
             raise ValueError("graph was not extracted from this model")
@@ -76,17 +77,12 @@ class DistributedExecutor:
         self.graph = graph
         self.placement = placement
         self.network = network
-        #: When a fault adapter is attached, compiled plans are unsound
-        #: (the adapter rewrites activations) and :meth:`forward` always
-        #: takes the event-driven path.
-        self.fault_adapter = fault_adapter
         self._cost_model = CommunicationCostModel(graph, network.topology)
         self._transfer_list = None
         self._aggregated_list = None
         self._owner_index = None
         self._dead_index_cache: Dict[frozenset, list] = {}
         self._compiled_plan: Optional[CompiledPlan] = None
-        self._plan_uncompilable: Optional[str] = None
         if telemetry is None:
             from repro.obs.runtime import current
 
@@ -132,17 +128,17 @@ class DistributedExecutor:
 
         ``plan`` selects the execution strategy:
 
-        - ``"auto"`` (default): compile the placement + schedule into a
-          :class:`repro.core.compiled.CompiledPlan` on first use and
-          serve the forward from it — unless a fault adapter, lossy
-          link model, installed :class:`~repro.wsn.network.LinkFaultModel`,
-          or down node (brownout/crash) makes the static schedule
-          unsound, in which case the call falls back to the
-          event-driven path below (and retries compilation once the
-          condition clears).
+        - ``"auto"`` (default): serve the forward from the
+          executor's :class:`repro.core.compiled.CompiledPlan`,
+          compiled on first use and recompiled whenever the topology
+          epoch has moved (a crash, brownout, recovery or move) —
+          unless a lossy link model or an installed
+          :class:`~repro.wsn.network.LinkFaultModel` draws per-message
+          randomness, in which case the call falls back to the
+          event-driven path below.
         - a :class:`CompiledPlan` instance: use that plan (it must have
-          been compiled against this executor's network), with the same
-          soundness re-check and fallback.
+          been compiled against this executor's network at the
+          topology's current epoch), with the same fallback.
         - ``None``: always take the event-driven path — the parity
           oracle the differential suite pins the compiled path against.
 
@@ -159,18 +155,12 @@ class DistributedExecutor:
             blocked = plan_blocked(self)
             if blocked is None:
                 if isinstance(plan, CompiledPlan):
-                    if plan.network is not self.network:
-                        raise ValueError(
-                            "plan was compiled against a different network"
-                        )
+                    self._check_plan(plan)
                     compiled = plan
                 else:
                     compiled = self._ensure_plan()
-                if compiled is not None:
-                    return self._forward_compiled(compiled, x, count_traffic)
-                self._note_fallback(self._plan_uncompilable or "uncompilable")
-            else:
-                self._note_fallback(blocked[0])
+                return self._forward_compiled(compiled, x, count_traffic)
+            self._note_fallback(blocked[0])
         if count_traffic:
             self.replay_traffic(x.shape[0], per_element=per_element)
         tel = self._telemetry
@@ -180,35 +170,37 @@ class DistributedExecutor:
 
     # -- compiled fast path --------------------------------------------------
     def compiled_plan(self) -> CompiledPlan:
-        """The executor's compiled plan, building it if needed.
+        """The executor's compiled plan for the current topology
+        epoch, building it if needed.
 
         Raises:
-            PlanNotCompilable: when the current state cannot be served
-                by a static plan (``forward(plan="auto")`` swallows
-                this and falls back; this accessor surfaces it).
+            PlanNotCompilable: while links draw per-message randomness
+                (``forward(plan="auto")`` falls back instead; this
+                accessor surfaces it).
         """
         blocked = plan_blocked(self)
         if blocked is not None:
-            raise PlanNotCompilable(blocked[0], blocked[1])
-        compiled = self._ensure_plan()
-        if compiled is None:
-            raise PlanNotCompilable(self._plan_uncompilable or "uncompilable")
+            raise PlanNotCompilable(*blocked)
+        return self._ensure_plan()
+
+    def _ensure_plan(self) -> CompiledPlan:
+        """Memoized compilation, keyed on the topology epoch: one
+        recompile per topology change, none in steady state."""
+        compiled = self._compiled_plan
+        if compiled is None or compiled.epoch != self.network.topology.epoch:
+            compiled = self._compiled_plan = compile_plan(self)
         return compiled
 
-    def _ensure_plan(self) -> Optional[CompiledPlan]:
-        """Memoized compilation.  A static failure (e.g. an unroutable
-        transfer under ideal, all-alive conditions) cannot heal, so it
-        is cached and compilation is not retried."""
-        if self._compiled_plan is not None:
-            return self._compiled_plan
-        if self._plan_uncompilable is not None:
-            return None
-        try:
-            self._compiled_plan = compile_plan(self)
-        except PlanNotCompilable as exc:
-            self._plan_uncompilable = exc.reason
-            return None
-        return self._compiled_plan
+    def _check_plan(self, plan: CompiledPlan) -> None:
+        """Reject a caller-supplied plan this executor cannot run."""
+        if plan.network is not self.network:
+            raise ValueError("plan was compiled against a different network")
+        epoch = self.network.topology.epoch
+        if plan.epoch != epoch:
+            raise ValueError(
+                f"plan was compiled at topology epoch {plan.epoch}, the "
+                f"topology is now at epoch {epoch}; recompile it"
+            )
 
     def _forward_compiled(
         self, compiled: CompiledPlan, x: np.ndarray, count_traffic: bool

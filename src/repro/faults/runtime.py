@@ -265,10 +265,12 @@ class ResilientExecutor:
     # -- degraded forward ---------------------------------------------------
     def _substitute(
         self, out: np.ndarray, layer_index: int, bad_nodes: Set[int],
-        positions_of: Callable[[int], list], spatial: bool,
+        index_map: Dict, spatial: bool,
     ) -> int:
-        """Replace every position owned by a bad node; returns the
-        substitution count after logging one record per node."""
+        """Replace every position owned by a bad node, one
+        fancy-indexed assignment per node through the executor's
+        owner index arrays; returns the substitution count after
+        logging one record per node."""
         if not bad_nodes:
             self._stale[layer_index] = out.copy()
             return 0
@@ -279,27 +281,25 @@ class ResilientExecutor:
             and stale.shape == out.shape
         )
         mode = "stale" if usable else "zero"
-        per_node: Dict[int, int] = {}
-        placement = self.executor.placement
+        total = 0
         for node in sorted(bad_nodes):
-            count = 0
-            for pos in positions_of(node):
-                if spatial:
-                    out[:, :, pos[0], pos[1]] = (
-                        stale[:, :, pos[0], pos[1]] if usable else 0.0
-                    )
-                else:
-                    out[:, pos] = stale[:, pos] if usable else 0.0
-                count += 1
-            if count:
-                per_node[node] = count
-        for node, count in sorted(per_node.items()):
+            index = index_map[node]
+            if spatial:
+                rows, cols = index
+                out[:, :, rows, cols] = (
+                    stale[:, :, rows, cols] if usable else 0.0
+                )
+                count = int(rows.shape[0])
+            else:
+                out[:, index] = stale[:, index] if usable else 0.0
+                count = int(index.shape[0])
             self.trace.record(
                 self.sim.now, f"degrade.{mode}",
                 layer=layer_index, node=node, n_positions=count,
             )
+            total += count
         self._stale[layer_index] = out.copy()
-        return sum(per_node.values())
+        return total
 
     def infer(self, x: np.ndarray) -> np.ndarray:
         """Degraded-but-complete forward pass under the active faults.
@@ -325,7 +325,6 @@ class ResilientExecutor:
 
     def _infer_inner(self, x: np.ndarray, span=None) -> np.ndarray:
         executor = self.executor
-        placement = executor.placement
         self.trace.record(
             self.sim.now, "exec.start",
             inference=self.inferences, batch=int(x.shape[0]),
@@ -340,31 +339,27 @@ class ResilientExecutor:
                 ).add(src)
         down = self.tracker.down_nodes()
         substitutions = 0
-
-        input_nodes: Dict[int, list] = {}
-        for pos, node in placement.input_node.items():
-            input_nodes.setdefault(node, []).append(pos)
+        owner_maps = executor._owner_indices()
+        layer_maps = dict(zip(
+            (entry.index for entry in executor.graph.layers), owner_maps[1:]
+        ))
 
         def input_hook(arr: np.ndarray) -> np.ndarray:
             nonlocal substitutions
-            bad = (down | poisoned.get(-1, set())) & set(input_nodes)
+            input_map = owner_maps[0]
+            bad = (down | poisoned.get(-1, set())) & input_map.keys()
             substitutions += self._substitute(
-                arr, -1, bad,
-                lambda node: sorted(input_nodes[node]), spatial=True,
+                arr, -1, bad, input_map, spatial=True
             )
             return arr
 
         def layer_hook(entry, out: np.ndarray):
             nonlocal substitutions
-            owners: Dict[int, list] = {}
-            for pos in entry.output_positions():
-                owners.setdefault(
-                    placement.node_of(entry.index, pos), []
-                ).append(pos)
-            bad = (down | poisoned.get(entry.index, set())) & set(owners)
+            index_map = layer_maps[entry.index]
+            bad = (down | poisoned.get(entry.index, set())) & index_map.keys()
             substitutions += self._substitute(
-                out, entry.index, bad,
-                lambda node: owners[node], spatial=(entry.kind == "spatial"),
+                out, entry.index, bad, index_map,
+                spatial=(entry.kind == "spatial"),
             )
             return out
 

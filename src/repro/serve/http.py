@@ -11,7 +11,7 @@ Endpoints:
 
 ``GET /healthz``
     Liveness + per-tenant summary (requests served, current fault
-    state) as JSON.
+    state — ``"lossy-links"``, ``"link-faults"`` or null) as JSON.
 ``GET /metrics``
     The telemetry registry in a Prometheus-style text exposition;
     ``GET /metrics?format=json`` returns the canonical registry

@@ -27,10 +27,12 @@ interleaving, and served-over-HTTP equal to a direct forward).
 Traffic is accounted for the *real* request count, never the pad row:
 the math runs with ``count_traffic=False`` and the accounting is
 applied separately — one bulk :meth:`~repro.wsn.Network
-.account_compiled` update in the steady state, or the event-driven
-:meth:`~repro.core.DistributedExecutor.replay_traffic` when the
-tenant's fault state forces the oracle — so ``/metrics`` reconciles
-exactly with the number of requests served.
+.account_compiled` update on ideal links (a down node included: the
+plan is recompiled for the new topology epoch and its unroutable
+messages are dropped like the oracle drops them), or the event-driven
+:meth:`~repro.core.DistributedExecutor.replay_traffic` while a lossy
+link model or an installed link-fault model forces the oracle — so
+``/metrics`` reconciles exactly with the number of requests served.
 """
 
 from __future__ import annotations
@@ -156,7 +158,8 @@ class Tenant:
 
     def fault_state(self) -> Optional[str]:
         """Why this tenant currently falls back to the event-driven
-        oracle (``None`` in the compiled steady state)."""
+        oracle — ``"lossy-links"`` or ``"link-faults"`` — or ``None``
+        when the compiled plan serves it (down nodes included)."""
         blocked = plan_blocked(self.executor)
         return None if blocked is None else blocked[0]
 

@@ -192,7 +192,18 @@ def load_map_topology(
             raise ValueError(
                 f"map file {path} has no 'comm_range' and none was given"
             )
-        comm_range = float(doc["comm_range"])
+        try:
+            comm_range = float(doc["comm_range"])
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"map file {path} field 'comm_range' must be a number, "
+                f"got {doc['comm_range']!r}"
+            ) from None
+    if not isinstance(doc["nodes"], list):
+        raise ValueError(
+            f"map file {path} field 'nodes' must be a list, got "
+            f"{doc['nodes']!r}"
+        )
     nodes = []
     for i, entry in enumerate(doc["nodes"]):
         try:
@@ -203,7 +214,14 @@ def load_map_topology(
                 f"map file {path} node #{i} is malformed "
                 f"(need 'id' and 'pos': [x, y]): {exc}"
             ) from None
-        nodes.append(SensorNode(node_id=node_id, position=(float(x), float(y))))
+        try:
+            position = (float(x), float(y))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"map file {path} node #{i} (id {node_id}) field 'pos' "
+                f"must be two numbers, got {entry['pos']!r}"
+            ) from None
+        nodes.append(SensorNode(node_id=node_id, position=position))
     topo = Topology(nodes, comm_range=comm_range)
     topo.map_name = doc.get("name", path.stem)
     return topo

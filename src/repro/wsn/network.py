@@ -313,6 +313,9 @@ class Network:
         through :meth:`unicast_bulk` would put it (the compiled parity
         suite pins this), while the Python cost drops from
         ``O(transfer groups x hops)`` route walks to ``O(nodes)``.
+        The program's ``unroutable`` messages are counted as sent and
+        dropped with cause ``"unroutable"``, as :meth:`unicast_bulk`
+        drops a message with no route.
 
         Plans are only compiled for ideal links, so unlike
         :meth:`unicast_bulk` there is no lossy fallback here — calling
@@ -329,9 +332,12 @@ class Network:
             )
         stats = self.stats
         delivered = program.sent * copies
-        stats.sent += delivered
+        unroutable = program.unroutable * copies
+        stats.sent += delivered + unroutable
         stats.delivered += delivered
         stats.total_hops += program.hops * copies
+        if unroutable:
+            self._drop("unroutable", unroutable)
         self.ledger.add_program(self._window, program, copies)
         return delivered
 

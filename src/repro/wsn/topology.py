@@ -49,8 +49,10 @@ class Topology:
     """
 
     def __init__(self, nodes: List[SensorNode], comm_range: float) -> None:
-        if comm_range <= 0:
-            raise ValueError(f"comm_range must be positive, got {comm_range}")
+        if not (np.isfinite(comm_range) and comm_range > 0):
+            raise ValueError(
+                f"comm_range must be positive and finite, got {comm_range}"
+            )
         ids = [n.node_id for n in nodes]
         if len(set(ids)) != len(ids):
             raise ValueError("node ids must be unique")

@@ -5,9 +5,10 @@ The compiled fast path (:mod:`repro.core.compiled`) must be
 *indistinguishable* from the event-driven executor wherever it is
 allowed to run: byte-identical logits and exactly equal traffic
 counters — every global and per-node counter the network keeps — across
-placements, model shapes, and batch sizes.  Where it is not allowed to
-run (fault adapter, lossy links, installed link-fault model, node
-down), it must either refuse with the typed
+placements, model shapes, batch sizes, and topology changes (crashes,
+recoveries, node moves: the plan is recompiled once per topology
+epoch).  Where it is not allowed to run (lossy links, an installed
+link-fault model), it must either refuse with the typed
 :class:`~repro.core.PlanNotCompilable` or fall back to the oracle —
 never be silently wrong.
 
@@ -180,29 +181,6 @@ class TestCompiledParity:
             ex_b.forward(make_batch("conv_pool", 1), plan=plan_a)
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
-    def test_masked_dead_nodes_identical(self, kind):
-        """run_masked == forward_masked byte for byte, across dead
-        sets including hosts of input cells, conv units, and dense
-        units."""
-        model, graph, topo = make(kind)
-        placement = grid_correspondence_assignment(graph, topo)
-        ex = DistributedExecutor(model, graph, placement, Network(topo))
-        plan = compile_plan(ex)
-        x = make_batch(kind, 4)
-        node_ids = sorted(topo.nodes)
-        dead_sets = [
-            [],
-            [node_ids[0]],
-            [node_ids[-1]],
-            node_ids[: max(1, len(node_ids) // 5)],
-            list(RNG.choice(node_ids, size=3, replace=False).astype(int)),
-        ]
-        for dead in dead_sets:
-            got = plan.run_masked(x, dead)
-            want = ex.forward_masked(x, dead)
-            assert got.tobytes() == want.tobytes(), f"dead={dead}"
-
-    @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_oracle_digest_stable_and_compiled_matches(self, kind):
         """The PR-oracle digest pin: run the event-driven reference
         twice (must not drift), then require the compiled digest to
@@ -233,11 +211,10 @@ class TestCompiledParity:
 
 
 class TestFallbackTriggers:
-    """A fault adapter, lossy link model, installed LinkFaultModel, or
-    down node must route :meth:`forward` back to the event-driven path
-    — observable in the trace as ``exec.forward`` spans instead of
-    ``exec.plan`` — and produce results identical to a never-compiled
-    run."""
+    """A lossy link model or an installed LinkFaultModel must route
+    :meth:`forward` back to the event-driven path — observable in the
+    trace as ``exec.forward`` spans instead of ``exec.plan`` — and
+    produce results identical to a never-compiled run."""
 
     def _setup(self, tel=None, **net_kwargs):
         model, graph, topo = make("conv_pool")
@@ -293,28 +270,6 @@ class TestFallbackTriggers:
             tail = [e.name for e in tel.tracer.events[before:]]
             assert "exec.plan" in tail
 
-    def test_brownout_falls_back_and_recovers(self):
-        from repro.obs.runtime import session
-
-        x = make_batch("conv_pool", 2)
-        with session() as tel:
-            __, __, topo, placement, net, ex = self._setup(tel=tel)
-            out_plan = ex.forward(x)
-            victim = sorted(topo.nodes)[5]
-            topo.node(victim).alive = False  # brownout
-            before = len(tel.tracer.events)
-            out_down = ex.forward(x)
-            tail = [e.name for e in tel.tracer.events[before:]]
-            assert "exec.forward" in tail and "exec.plan" not in tail
-            topo.node(victim).alive = True
-            before = len(tel.tracer.events)
-            out_up = ex.forward(x)
-            tail = [e.name for e in tel.tracer.events[before:]]
-            assert "exec.plan" in tail
-        # The arithmetic is the same on all three paths (traffic is
-        # what degrades, not the logits of forward()).
-        assert out_plan.tobytes() == out_down.tobytes() == out_up.tobytes()
-
     def test_down_node_stats_match_never_compiled_run(self):
         """Counters accumulated across a compiled -> down -> recovered
         session equal those of an oracle-only run of the same
@@ -336,26 +291,6 @@ class TestFallbackTriggers:
 
         assert run("auto") == run(None)
 
-    def test_fault_adapter_blocks_plan(self):
-        from repro.obs.runtime import session
-
-        x = make_batch("conv_pool", 2)
-        with session() as tel:
-            model, graph, topo = make("conv_pool")
-            placement = grid_correspondence_assignment(graph, topo)
-            net = Network(topo, telemetry=tel)
-            ex = DistributedExecutor(
-                model, graph, placement, net, telemetry=tel,
-                fault_adapter=object(),
-            )
-            ex.forward(x)
-            names = self._span_names(tel)
-            assert "exec.forward" in names
-            assert "exec.plan" not in names
-            with pytest.raises(PlanNotCompilable) as err:
-                ex.compiled_plan()
-            assert err.value.reason == "fault-adapter"
-
     def test_per_element_forces_event_path(self):
         model, graph, topo = make("conv_pool")
         placement = grid_correspondence_assignment(graph, topo)
@@ -369,9 +304,9 @@ class TestFallbackTriggers:
 
         x = make_batch("conv_pool", 1)
         with session() as tel:
-            __, __, topo, __, net, ex = self._setup(tel=tel)
+            __, __, __, __, net, ex = self._setup(tel=tel)
             ex.forward(x)
-            topo.node(0).alive = False
+            net.link_faults = LinkFaultModel(loss_rate=0.1, seed=2)
             ex.forward(x)
             rows = {
                 (name, tuple(map(tuple, labels))): value
@@ -380,8 +315,113 @@ class TestFallbackTriggers:
             }
             assert rows[("exec.plan_runs", ())] == 1.0
             assert rows[
-                ("exec.plan_fallbacks", (("reason", "node-down"),))
+                ("exec.plan_fallbacks", (("reason", "link-faults"),))
             ] == 1.0
+
+
+class TestTopologyEpochs:
+    """Crashes, brownouts, recoveries and moves change the routes, not
+    whether a plan serves: the executor recompiles once per topology
+    epoch, and a transfer with no route is dropped as ``unroutable``
+    exactly like the oracle drops it."""
+
+    def _setup(self, tel=None):
+        model, graph, topo = make("conv_pool")
+        placement = grid_correspondence_assignment(graph, topo)
+        net = Network(topo, telemetry=tel)
+        ex = DistributedExecutor(model, graph, placement, net,
+                                 telemetry=tel)
+        return topo, net, ex
+
+    def test_brownout_served_by_plan_and_recovers(self):
+        from repro.obs.runtime import session
+
+        x = make_batch("conv_pool", 2)
+        with session() as tel:
+            topo, net, ex = self._setup(tel=tel)
+            out_plan = ex.forward(x)
+            victim = sorted(topo.nodes)[5]
+            topo.node(victim).alive = False  # brownout
+            before = len(tel.tracer.events)
+            out_down = ex.forward(x)
+            tail = [e.name for e in tel.tracer.events[before:]]
+            assert "exec.plan" in tail and "exec.forward" not in tail
+            assert "exec.plan-fallback" not in tail
+            topo.node(victim).alive = True
+            before = len(tel.tracer.events)
+            out_up = ex.forward(x)
+            tail = [e.name for e in tel.tracer.events[before:]]
+            assert "exec.plan" in tail
+            assert tel.metrics.value("exec.plan_runs") == 3.0
+        # The arithmetic is the same in every state (traffic is what
+        # degrades, not the logits of forward()).
+        assert out_plan.tobytes() == out_down.tobytes() == out_up.tobytes()
+
+    def test_brownout_plan_counters_match_oracle(self):
+        """A browned-out topology compiles: ``compiled_plan()`` serves
+        it, and its counters — unroutable drops included — equal a
+        fresh oracle run's."""
+        x = make_batch("conv_pool", 4)
+        results = []
+        for plan in ("auto", None):
+            topo, net, ex = self._setup()
+            topo.node(sorted(topo.nodes)[5]).alive = False
+            if plan == "auto":
+                compiled = ex.compiled_plan()
+                assert compiled.epoch == topo.epoch
+                assert compiled.hops.unroutable > 0
+            out = ex.forward(x, plan=plan)
+            results.append((out.tobytes(), stats_snapshot(net),
+                            dict(net.stats.dropped_causes)))
+            net.reset_stats()  # node counters are shared via topo
+        assert results[0] == results[1]
+        assert results[0][2]["unroutable"] > 0
+
+    def test_move_after_compile_recompiles_per_epoch(self, monkeypatch):
+        """A relay moves, then moves out of range: the compiled
+        counters equal the oracle's after every step, with exactly
+        one compilation per topology epoch (not per call)."""
+        import repro.core.executor as executor_module
+
+        compiles = []
+        real_compile = executor_module.compile_plan
+
+        def counting_compile(ex):
+            compiles.append(ex.network.topology.epoch)
+            return real_compile(ex)
+
+        monkeypatch.setattr(executor_module, "compile_plan",
+                            counting_compile)
+        x = make_batch("conv_pool", 8)
+        moves = [(5, (3.0, 3.0)), (5, (40.0, 40.0))]
+
+        def run(plan):
+            topo, net, ex = self._setup()
+            steps = []
+            for move in [None] + moves:
+                if move is not None:
+                    node, position = move
+                    topo.node(node).position = position
+                for __ in range(2):
+                    ex.forward(x, plan=plan)
+                steps.append((stats_snapshot(net),
+                              dict(net.stats.dropped_causes)))
+            net.reset_stats()  # node counters are shared via topo
+            return steps, topo
+
+        compiled_steps, topo = run("auto")
+        assert len(compiles) == 3 == len(set(compiles))
+        oracle_steps, __ = run(None)
+        assert len(compiles) == 3  # the oracle never compiles
+        assert compiled_steps == oracle_steps
+        assert oracle_steps[-1][1].get("unroutable", 0) > 0
+
+    def test_stale_explicit_plan_rejected(self):
+        topo, net, ex = self._setup()
+        plan = compile_plan(ex)
+        topo.node(3).alive = False
+        with pytest.raises(ValueError, match="epoch"):
+            ex.forward(make_batch("conv_pool", 1), plan=plan)
 
 
 @pytest.mark.perf
@@ -426,40 +466,47 @@ class TestCompiledProperties:
 
     @pytest.mark.parametrize("trial", range(12))
     def test_compile_round_trips_or_raises_typed(self, trial):
+        """Every case on ideal links compiles — dead nodes and
+        disconnected meshes included — and round-trips the oracle;
+        only per-message randomness refuses, with a typed reason, and
+        ``auto`` then serves the oracle's exact results."""
         rng = np.random.default_rng(7000 + trial)
         model, graph, topo, placement = self._random_case(rng)
-        net = Network(topo)
-        ex = DistributedExecutor(model, graph, placement, net)
         batch = int(rng.integers(1, 9))
         x = rng.normal(size=(batch, 1, 8, 8))
+        lossy = trial % 4 == 3  # trials 3, 7, 11
+
+        def network():
+            if not lossy:
+                return Network(topo)
+            if trial == 7:
+                return Network(topo, loss_probability=0.2,
+                               rng=np.random.default_rng(trial))
+            return Network(topo, link_faults=LinkFaultModel(
+                loss_rate=0.2, seed=trial))
+
+        net = network()
+        ex = DistributedExecutor(model, graph, placement, net)
         try:
             plan = compile_plan(ex)
         except PlanNotCompilable as err:
-            assert err.reason in {
-                "lossy-links", "link-faults", "node-down",
-                "fault-adapter", "unroutable",
-            }
+            assert lossy, f"an ideal-link case refused: {err}"
+            assert err.reason in {"lossy-links", "link-faults"}
             # auto still serves the forward via the oracle.
             out = ex.forward(x)
             assert ex._compiled_plan is None
-            auto_stats = stats_snapshot(net)
-            net.reset_stats()  # node counters are shared via topo
-            net_ref = Network(topo)
-            ref = DistributedExecutor(
-                model, graph, placement, net_ref
-            ).forward(x, plan=None)
-            assert out.tobytes() == ref.tobytes()
-            assert auto_stats == stats_snapshot(net_ref)
-            return
-        out = plan.run(x)
-        plan_stats = stats_snapshot(net)
+        else:
+            assert not lossy
+            out = plan.run(x)
+        got_stats = (stats_snapshot(net), dict(net.stats.dropped_causes))
         net.reset_stats()  # node counters are shared via topo
-        net_ref = Network(topo)
+        net_ref = network()
         ref = DistributedExecutor(
             model, graph, placement, net_ref
         ).forward(x, plan=None)
         assert out.tobytes() == ref.tobytes()
-        assert plan_stats == stats_snapshot(net_ref)
+        assert got_stats == (stats_snapshot(net_ref),
+                             dict(net_ref.stats.dropped_causes))
 
     @pytest.mark.parametrize("trial", range(8))
     def test_hop_program_conserves_transfer_multiset(self, trial):
@@ -470,20 +517,19 @@ class TestCompiledProperties:
         model, graph, topo, placement = self._random_case(rng)
         net = Network(topo)
         ex = DistributedExecutor(model, graph, placement, net)
-        try:
-            plan = compile_plan(ex)
-        except PlanNotCompilable:
-            return
-        hops = plan.hops
+        hops = compile_plan(ex).hops
 
         # Independent reconstruction from the transfer list + routes.
         from repro.wsn.routing import shortest_path_route
         link_packets = Counter()
         link_values = Counter()
         sent = 0
+        unroutable = 0
         for (layer, src, dst, n_values), mult in ex._aggregated_transfers():
             route = shortest_path_route(topo, src, dst)
-            assert route is not None
+            if route is None:
+                unroutable += mult
+                continue
             sent += mult
             for a, b in zip(route, route[1:]):
                 link_packets[(a, b)] += mult
@@ -499,6 +545,7 @@ class TestCompiledProperties:
         assert got_packets == dict(link_packets)
         assert got_values == dict(link_values)
         assert hops.sent == sent
+        assert hops.unroutable == unroutable
         assert hops.hops == sum(link_packets.values())
         # Node tallies are the per-link tallies folded by endpoint.
         tx = Counter()
@@ -517,7 +564,10 @@ class TestCompiledProperties:
         batch = int(rng.integers(1, 6))
         net.reset_stats()
         net.account_compiled(hops, copies=batch)
-        assert net.stats.sent == sent * batch
+        assert net.stats.sent == (sent + unroutable) * batch
+        assert net.stats.delivered == sent * batch
+        assert net.stats.dropped_causes.get("unroutable", 0) == \
+            unroutable * batch
         assert net.stats.total_hops == sum(link_packets.values()) * batch
         assert dict(net.stats.per_node_rx_values) == {
             n: v * batch for n, v in rx.items()

@@ -218,19 +218,53 @@ def sim_imports_any_scope(tree):
     return offenders
 
 
+def compiled_import_offenders(package):
+    """``repro.sim`` and ``networkx`` imports, at any depth, in every
+    module of ``package``.  The compiled plan may neither re-enter the
+    event loop nor resolve routes itself: routes come only from the
+    network's router, so the plan and the oracle cannot diverge."""
+    offenders = []
+    for path in sorted(package.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for kind, linenos in (
+            ("repro.sim", sim_imports_any_scope(tree)),
+            ("networkx", networkx_imports_any_scope(tree)),
+        ):
+            offenders.extend(
+                f"{path.relative_to(package.parent)}:{lineno} ({kind})"
+                for lineno in linenos
+            )
+    return offenders
+
+
 def test_compiled_package_never_imports_sim():
     compiled = SRC / "core" / "compiled"
-    files = sorted(compiled.rglob("*.py"))
-    assert files, "repro.core.compiled package is missing"
-    offenders = []
-    for path in files:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for lineno in sim_imports_any_scope(tree):
-            offenders.append(f"{path.relative_to(SRC.parent)}:{lineno}")
-    assert offenders == [], (
-        "repro.core.compiled must never import repro.sim (the compiled "
-        f"hot path may not re-enter the event loop): {offenders}"
+    assert sorted(compiled.rglob("*.py")), (
+        "repro.core.compiled package is missing"
     )
+    offenders = compiled_import_offenders(compiled)
+    assert offenders == [], (
+        "repro.core.compiled must never import repro.sim or networkx "
+        "(the compiled hot path may not re-enter the event loop, and "
+        f"routes come only from the network's router): {offenders}"
+    )
+
+
+def test_compiled_lint_detects_violations(tmp_path):
+    package = tmp_path / "compiled"
+    package.mkdir()
+    (package / "clean.py").write_text("import numpy as np\n")
+    assert compiled_import_offenders(package) == []
+    (package / "routes.py").write_text(
+        "def route(g, a, b):\n"
+        "    import networkx as nx\n"
+        "    return nx.shortest_path(g, a, b)\n"
+    )
+    (package / "events.py").write_text("from repro.sim import Simulator\n")
+    assert compiled_import_offenders(package) == [
+        "compiled/events.py:1 (repro.sim)",
+        "compiled/routes.py:2 (networkx)",
+    ]
 
 
 def serve_timing_usage(tree):

@@ -11,6 +11,7 @@ latency *equals* the batching window, not approximately).
 import numpy as np
 import pytest
 
+from repro.faults.links import LinkFaultModel
 from repro.serve import (
     BatchPolicy,
     DispatcherClosed,
@@ -163,25 +164,55 @@ class TestTenantIsolation:
         serving, exact latency."""
         h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=0.01))
         fall = h.pool.require("fall")
-        list(fall.topology)[4].alive = False  # forces the oracle
-        assert fall.fault_state() == "node-down"
+        # Per-message fault draws force the oracle.
+        fall.network.link_faults = LinkFaultModel(loss_rate=0.2, seed=1)
+        assert fall.fault_state() == "link-faults"
         faulted = h.submit("fall")
         healthy = h.submit("hvac")
         h.advance(0.01)
-        assert faulted.result().served_by == "fallback:node-down"
+        assert faulted.result().served_by == "fallback:link-faults"
         assert healthy.result().served_by == "plan"
         assert healthy.result().latency_s == 0.01
         assert h.metric(
-            "serve.plan_fallbacks", tenant="fall", reason="node-down"
+            "serve.plan_fallbacks", tenant="fall", reason="link-faults"
         ) == 1.0
         assert h.metric("serve.plan_runs", tenant="hvac") == 1.0
+
+    def test_node_down_is_served_by_the_plan(self):
+        """A down node changes the routes, not the path: the batch is
+        served by the recompiled plan, and its traffic — unroutable
+        drops included — equals the event-driven replay of the same
+        request count on an identically faulted twin."""
+        h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=0.01))
+        fall = h.pool.require("fall")
+        twin = h.build_tenant("fall", name="twin")
+        for tenant in (fall, twin):
+            list(tenant.topology)[4].alive = False
+        assert fall.fault_state() is None
+        k = 3
+        futures = [h.submit("fall") for __ in range(k)]
+        h.advance(0.01)
+        assert {f.result().served_by for f in futures} == {"plan"}
+        assert h.metric("serve.plan_runs", tenant="fall") == 1.0
+        twin.executor.replay_traffic(k)
+
+        def counters(tenant):
+            stats = tenant.network.stats
+            return (stats.sent, stats.delivered, stats.dropped,
+                    stats.total_hops, dict(stats.dropped_causes),
+                    dict(stats.per_node_rx_values),
+                    dict(stats.per_node_tx_values),
+                    [(n.rx_count, n.tx_count) for n in tenant.topology])
+
+        assert counters(fall) == counters(twin)
+        assert fall.network.stats.dropped_causes["unroutable"] > 0
 
     def test_fallback_accounts_traffic_for_real_requests_only(self):
         """The oracle replay accounts exactly the flushed request
         count — pad rows never inflate the network counters."""
         h = ServeHarness(policy=BatchPolicy(max_batch=8, max_delay=0.01))
         fall = h.pool.require("fall")
-        list(fall.topology)[4].alive = False
+        fall.network.link_faults = LinkFaultModel(loss_rate=0.2, seed=1)
         baseline = fall.network.stats.sent
         h.submit("fall")
         h.advance(0.01)

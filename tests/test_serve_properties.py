@@ -12,6 +12,7 @@ sleeps.
 import numpy as np
 import pytest
 
+from repro.faults.links import LinkFaultModel
 from repro.serve import BatchPolicy
 from repro.serve.testing import ServeHarness
 
@@ -99,10 +100,10 @@ def test_fault_interleaving_keeps_the_multiset_property():
     futures = []
     fall = harness.pool.require("fall")
     for i in range(16):
-        if i == 6:
-            list(fall.topology)[0].alive = False  # fault appears
+        if i == 6:  # fault appears
+            fall.network.link_faults = LinkFaultModel(loss_rate=0.2, seed=6)
         if i == 12:
-            list(fall.topology)[0].alive = True   # and heals
+            fall.network.link_faults = None  # and heals
         name = TENANTS[int(rng.integers(len(TENANTS)))]
         x = harness.make_input(name)
         submitted[name].append(x)

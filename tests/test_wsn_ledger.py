@@ -263,6 +263,7 @@ def test_compiled_accounting_matches_bulk_replay():
         rx_packets=np.array([1, 1], dtype=np.int64),
         rx_values=np.array([0, 0], dtype=np.int64),
         sent=1,
+        unroutable=0,
         hops=2,
         n_transfer_groups=1,
     )
@@ -298,7 +299,8 @@ def _program():
         link_src=arr(0, 1), link_dst=arr(1, 2), link_packets=arr(1, 1),
         link_values=arr(4, 4), tx_nodes=arr(0, 1), tx_packets=arr(1, 1),
         tx_values=arr(4, 4), rx_nodes=arr(1, 2), rx_packets=arr(1, 1),
-        rx_values=arr(4, 4), sent=1, hops=2, n_transfer_groups=1,
+        rx_values=arr(4, 4), sent=1, unroutable=0, hops=2,
+        n_transfer_groups=1,
     )
 
 

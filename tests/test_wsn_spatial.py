@@ -488,6 +488,28 @@ class TestTopoCli:
         reloaded = load_map_topology(out_file)
         assert len(reloaded) == 50
 
+    @pytest.mark.parametrize("doc, field", [
+        ('{"comm_range": NaN, "nodes": [{"id": 0, "pos": [0, 0]}]}',
+         "comm_range"),
+        ('{"comm_range": Infinity, "nodes": [{"id": 0, "pos": [0, 0]}]}',
+         "comm_range"),
+        ('{"comm_range": 1.5, "nodes": 5}', "'nodes'"),
+        ('{"comm_range": [1], "nodes": [{"id": 0, "pos": [0, 0]}]}',
+         "'comm_range'"),
+        ('{"comm_range": 1.5, "nodes": [{"id": 7, "pos": [[0], [1]]}]}',
+         "id 7.*'pos'"),
+    ], ids=["nan-range", "inf-range", "nodes-not-list", "range-not-number",
+            "pos-not-numbers"])
+    def test_topo_malformed_map_exits_2(self, tmp_path, capsys, doc, field):
+        """Each malformed map is a clean ``ValueError`` naming the bad
+        field, so the CLI exits 2 instead of raising a traceback."""
+        path = tmp_path / "bad.json"
+        path.write_text(doc)
+        with pytest.raises(ValueError, match=field):
+            load_map_topology(path)
+        assert main(["topo", "map", "--path", str(path)]) == 2
+        assert "topology generation failed" in capsys.readouterr().err
+
     def test_topo_bad_map_exits_2(self, tmp_path, capsys):
         assert main([
             "topo", "map", "--path", str(tmp_path / "missing.json"),
