@@ -452,6 +452,9 @@ def cmd_sweep(args) -> int:
         print(f"unknown sweep task {args.task!r}; registered: "
               f"{', '.join(tasks)}", file=sys.stderr)
         return 2
+    if args.jobs < 1:
+        print(f"--jobs must be at least 1, got {args.jobs}", file=sys.stderr)
+        return 2
     try:
         seeds = _parse_seeds(args.seeds)
         grid = _parse_grid(args.grid)

@@ -75,13 +75,6 @@ class CommunicationCostModel:
     def __init__(self, graph: UnitGraph, topology: Topology) -> None:
         self.graph = graph
         self.topology = topology
-        self._route_cache: Dict[Tuple[int, int], Optional[list]] = {}
-
-    def _route(self, src: int, dst: int) -> Optional[list]:
-        key = (src, dst)
-        if key not in self._route_cache:
-            self._route_cache[key] = shortest_path_route(self.topology, src, dst)
-        return self._route_cache[key]
 
     def _ship(
         self,
@@ -92,7 +85,9 @@ class CommunicationCostModel:
         layer_index: int,
     ) -> None:
         """Account one transfer src -> dst including relay traffic."""
-        route = self._route(src, dst)
+        # Routed against the topology's current epoch (its graph is
+        # cached per epoch), so a crash or move is costed right away.
+        route = shortest_path_route(self.topology, src, dst)
         if route is None:
             report.unroutable += 1
             return

@@ -21,16 +21,18 @@ Hot paths are vectorized (see README "Performance"):
   and is re-selected only while a lossy link model or an installed
   link-fault model draws per-message randomness;
 - the event-driven traffic replay aggregates the transfer list per
-  ``(layer, src, dst, n_values)`` and sends each group through
-  :meth:`repro.wsn.Network.unicast_bulk` once, instead of one Python
-  ``unicast`` per transfer per batch element;
+  ``(layer, src, dst, n_values)`` and sends each group with one
+  :meth:`repro.wsn.Network.unicast` of ``batch x multiplicity``
+  copies, which the network scales on ideal links and samples copy by
+  copy on lossy ones;
 - failure masking zeroes each layer with one fancy-indexed assignment
   built from precomputed per-node index maps, instead of a Python loop
   over positions.
 
-The pre-optimization reference paths (``forward(per_element=True)``,
-:meth:`forward_masked_reference`) stay callable so the parity tests can
-prove the fast paths behavior-identical.
+The per-position masking reference (:meth:`forward_masked_reference`)
+stays callable so the parity tests can prove the fast path
+behavior-identical; the per-transfer, per-inference replay reference
+lives in :mod:`repro.perf`.
 """
 
 from __future__ import annotations
@@ -117,7 +119,6 @@ class DistributedExecutor:
         self,
         x: np.ndarray,
         count_traffic: bool = True,
-        per_element: bool = False,
         plan="auto",
     ) -> np.ndarray:
         """Distributed forward pass.
@@ -136,33 +137,27 @@ class DistributedExecutor:
           :class:`~repro.wsn.network.LinkFaultModel` draws per-message
           randomness, in which case the call falls back to the
           event-driven path below.
-        - a :class:`CompiledPlan` instance: use that plan (it must have
-          been compiled against this executor's network at the
-          topology's current epoch), with the same fallback.
         - ``None``: always take the event-driven path — the parity
           oracle the differential suite pins the compiled path against.
 
-        The event-driven path aggregates identical transfers and
-        replays each group with one bulk send; ``per_element=True``
-        (implies the event path) selects the original
-        one-``unicast``-per-transfer-per-element compatibility loop
-        (same traffic stats, Python-interpreter bound).
+        Any other ``plan`` raises ``ValueError``.  The event-driven
+        path aggregates identical transfers and replays each group with
+        one multi-copy :meth:`~repro.wsn.Network.unicast`.
 
         Returns:
             The model logits (identical to the centralized forward).
         """
-        if plan is not None and not per_element:
+        if plan is not None:
+            if plan != "auto":
+                raise ValueError(f"plan must be 'auto' or None, got {plan!r}")
             blocked = plan_blocked(self)
             if blocked is None:
-                if isinstance(plan, CompiledPlan):
-                    self._check_plan(plan)
-                    compiled = plan
-                else:
-                    compiled = self._ensure_plan()
-                return self._forward_compiled(compiled, x, count_traffic)
+                return self._forward_compiled(
+                    self._ensure_plan(), x, count_traffic
+                )
             self._note_fallback(blocked[0])
         if count_traffic:
-            self.replay_traffic(x.shape[0], per_element=per_element)
+            self.replay_traffic(x.shape[0])
         tel = self._telemetry
         if not tel.enabled:
             return self.model.forward(x, training=False)
@@ -190,17 +185,6 @@ class DistributedExecutor:
         if compiled is None or compiled.epoch != self.network.topology.epoch:
             compiled = self._compiled_plan = compile_plan(self)
         return compiled
-
-    def _check_plan(self, plan: CompiledPlan) -> None:
-        """Reject a caller-supplied plan this executor cannot run."""
-        if plan.network is not self.network:
-            raise ValueError("plan was compiled against a different network")
-        epoch = self.network.topology.epoch
-        if plan.epoch != epoch:
-            raise ValueError(
-                f"plan was compiled at topology epoch {plan.epoch}, the "
-                f"topology is now at epoch {epoch}; recompile it"
-            )
 
     def _forward_compiled(
         self, compiled: CompiledPlan, x: np.ndarray, count_traffic: bool
@@ -243,33 +227,25 @@ class DistributedExecutor:
                     out = entry.layer.forward(out, training=False)
             return out
 
-    def replay_traffic(self, batch: int, per_element: bool = False) -> None:
+    def replay_traffic(self, batch: int) -> None:
         """Account ``batch`` inferences' cross-node transfers on the
         network layer (the traffic half of :meth:`forward`, exposed so
         the perf harness can benchmark the replay in isolation)."""
         tel = self._telemetry
         if tel.enabled:
             with tel.tracer.span("exec.replay", batch=batch):
-                self._replay_traffic_inner(batch, per_element)
+                self._replay_traffic_inner(batch)
         else:
-            self._replay_traffic_inner(batch, per_element)
+            self._replay_traffic_inner(batch)
 
-    def _replay_traffic_inner(self, batch: int, per_element: bool) -> None:
-        if per_element:
-            for layer_index, src, dst, n_values in self._transfers():
-                for __ in range(batch):
-                    self.network.unicast(
-                        Message(src=src, dst=dst, n_values=n_values,
-                                kind=f"layer{layer_index}")
-                    )
-        else:
-            for key, multiplicity in self._aggregated_transfers():
-                layer_index, src, dst, n_values = key
-                self.network.unicast_bulk(
-                    Message(src=src, dst=dst, n_values=n_values,
-                            kind=f"layer{layer_index}"),
-                    copies=batch * multiplicity,
-                )
+    def _replay_traffic_inner(self, batch: int) -> None:
+        for key, multiplicity in self._aggregated_transfers():
+            layer_index, src, dst, n_values = key
+            self.network.unicast(
+                Message(src=src, dst=dst, n_values=n_values,
+                        kind=f"layer{layer_index}"),
+                copies=batch * multiplicity,
+            )
 
     def predict(self, x: np.ndarray, count_traffic: bool = False) -> np.ndarray:
         """Class predictions from the distributed forward pass."""

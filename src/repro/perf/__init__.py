@@ -22,7 +22,13 @@ from repro.perf.schema import (
     regressions,
     validate_report,
 )
-from repro.perf.suite import FULL_PROTOCOL, QUICK_PROTOCOL, run_suite
+from repro.perf.suite import (
+    FULL_PROTOCOL,
+    QUICK_PROTOCOL,
+    forward_reference,
+    replay_traffic_reference,
+    run_suite,
+)
 
 __all__ = [
     "BenchProtocol",
@@ -39,4 +45,6 @@ __all__ = [
     "FULL_PROTOCOL",
     "QUICK_PROTOCOL",
     "run_suite",
+    "forward_reference",
+    "replay_traffic_reference",
 ]

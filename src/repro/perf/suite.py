@@ -9,10 +9,12 @@ claims (and the regression gate keeps them from silently rotting).
 Workloads:
 
 - ``traffic_replay_batched`` — batched cross-node transfer replay,
-  aggregated bulk sends vs. one ``unicast`` per transfer per element;
-- ``forward_e2e`` — full distributed forward (traffic + math), both
-  event-driven replay modes (pinned ``plan=None``; the compiled path
-  has its own entry);
+  one multi-copy ``unicast`` per transfer group vs. one single-copy
+  ``unicast`` per transfer per element
+  (:func:`replay_traffic_reference`);
+- ``forward_e2e`` — full distributed forward (traffic + math), the
+  event-driven ``plan=None`` path vs. :func:`forward_reference` (the
+  compiled path has its own entry);
 - ``forward_plan`` — the compiled-plan fast path vs. the event-driven
   oracle at the per-request operating point (small batch, where the
   route replay dominates); byte-identical logits and exactly equal
@@ -135,6 +137,27 @@ def _scenario(
     return model, graph, topology, placement, network, executor
 
 
+def replay_traffic_reference(executor: DistributedExecutor, batch: int) -> None:
+    """The per-transfer, per-inference replay: one single-copy
+    ``unicast`` per cross-node transfer per batch element, in transfer
+    list order.  It is the reference the aggregated
+    :meth:`DistributedExecutor.replay_traffic` is timed and
+    parity-tested against (equal counters on ideal links)."""
+    network = executor.network
+    for layer_index, src, dst, n_values in executor._transfers():
+        for __ in range(batch):
+            network.unicast(
+                Message(src=src, dst=dst, n_values=n_values,
+                        kind=f"layer{layer_index}")
+            )
+
+
+def forward_reference(executor: DistributedExecutor, x: np.ndarray) -> np.ndarray:
+    """Event-path forward over :func:`replay_traffic_reference`."""
+    replay_traffic_reference(executor, x.shape[0])
+    return executor.model.forward(x, training=False)
+
+
 def _stats_counters(network: Network, prefix: str, counters: CounterRegistry):
     stats = network.stats
     counters.set(f"{prefix}_sent", stats.sent)
@@ -151,7 +174,7 @@ def bench_traffic_replay(protocol: BenchProtocol, seed: int, quick: bool) -> Dic
     counters = CounterRegistry()
 
     network.reset_stats()
-    executor.replay_traffic(batch, per_element=True)
+    replay_traffic_reference(executor, batch)
     _stats_counters(network, "reference", counters)
     network.reset_stats()
     executor.replay_traffic(batch)
@@ -163,7 +186,7 @@ def bench_traffic_replay(protocol: BenchProtocol, seed: int, quick: bool) -> Dic
         protocol, setup=network.reset_stats,
     )
     reference = measure(
-        lambda __: executor.replay_traffic(batch, per_element=True),
+        lambda __: replay_traffic_reference(executor, batch),
         protocol, setup=network.reset_stats,
     )
     network.reset_stats()
@@ -199,7 +222,7 @@ def bench_forward_e2e(protocol: BenchProtocol, seed: int, quick: bool) -> Dict:
         protocol, setup=network.reset_stats,
     )
     reference = measure(
-        lambda __: executor.forward(x, per_element=True),
+        lambda __: forward_reference(executor, x),
         protocol, setup=network.reset_stats,
     )
     network.reset_stats()

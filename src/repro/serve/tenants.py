@@ -30,9 +30,11 @@ applied separately — one bulk :meth:`~repro.wsn.Network
 .account_compiled` update on ideal links (a down node included: the
 plan is recompiled for the new topology epoch and its unroutable
 messages are dropped like the oracle drops them), or the event-driven
-:meth:`~repro.core.DistributedExecutor.replay_traffic` while a lossy
-link model or an installed link-fault model forces the oracle — so
-``/metrics`` reconciles exactly with the number of requests served.
+:meth:`~repro.core.DistributedExecutor.replay_traffic` (one
+multi-copy :meth:`~repro.wsn.Network.unicast` per transfer group,
+sampled copy by copy) while a lossy link model or an installed
+link-fault model forces the oracle — so ``/metrics`` reconciles
+exactly with the number of requests served.
 """
 
 from __future__ import annotations

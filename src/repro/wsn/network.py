@@ -7,15 +7,14 @@ executor's measured costs can be checked against the static cost model
 (a property the test suite enforces).
 
 Every per-node and per-link tally lives in the topology's columnar
-:class:`~repro.wsn.ledger.TrafficLedger`, written per hop by
-:meth:`Network._account_hop` and per batch by
-:meth:`Network.account_compiled`; node counters and the per-node
-:class:`TrafficStats` values are views of it.  Drops are attributed to
-a cause (``fault`` / ``loss`` / ``unroutable``).  Under a telemetry
-session (:mod:`repro.obs`) pull collectors mirror the scalars and the
-ledger into the metrics registry with zero hot-path overhead, and
-:meth:`telemetry_drift` reconciles them (the chaos suite runs it under
-lossy ``unicast_bulk`` fallback).
+:class:`~repro.wsn.ledger.TrafficLedger`, written by two send engines
+only: :meth:`Network.unicast` (per hop) and
+:meth:`Network.account_compiled` (per batch); node counters and the
+per-node :class:`TrafficStats` values are views of it.  Drops are
+attributed to a cause (``fault`` / ``loss`` / ``unroutable``).  Under a telemetry session (:mod:`repro.obs`) pull
+collectors mirror the scalars and the ledger into the metrics registry
+with zero hot-path overhead, and :meth:`telemetry_drift` reconciles
+them (the chaos suite runs it over a lossy replay).
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ def _check_values(message: Message) -> None:
 
 
 def _copies(copies) -> int:
-    """Validate a bulk send's message count (``TypeError`` unless an
+    """Validate a send's message count (``TypeError`` unless an
     integer)."""
     copies = operator.index(copies)
     if copies < 0:
@@ -217,89 +216,73 @@ class Network:
             stats.dropped_causes.get(cause, 0) + count
         )
 
-    def unicast(self, message: Message) -> bool:
-        """Route a message hop by hop; returns delivery success.
+    def unicast(self, message: Message, copies: int = 1) -> int:
+        """Route ``copies`` identical messages hop by hop; returns how
+        many were delivered.
 
         Counters: every transmitting node's ``tx_*`` and every
         receiving node's ``rx_*`` increase at each hop, so relays pay
         for forwarded traffic — the effect MicroDeep's assignment is
-        designed to balance.  Raises ``ValueError`` when
-        ``message.n_values`` is negative or not an integer.
+        designed to balance.  The route is resolved once; on ideal
+        links every counter advances by ``copies`` messages' worth in
+        one pass over it (``O(hops)``), while lossy or fault-injected
+        links sample each copy hop by hop, so the RNG stream is that
+        of ``copies`` single sends.  ``message.n_values`` and
+        ``copies`` must be non-negative integers (``ValueError`` /
+        ``TypeError``).
         """
         n = message.n_values
         if n.__class__ is not int or n < 0:
             _check_values(message)
-        self.stats.sent += 1
+        if copies.__class__ is not int or copies < 1:
+            copies = _copies(copies)
+            if copies == 0:
+                return 0
+        stats = self.stats
+        stats.sent += copies
         route = self.router(self.topology, message.src, message.dst)
         if route is None:
             # Covers no-path *and* dead/unknown endpoints (including a
             # self-send addressed to a dead node) — see the routing
             # contract in :func:`~repro.wsn.routing.shortest_path_route`.
-            self._drop("unroutable")
-            return False
-        corrupted = False
-        for hop_src, hop_dst in zip(route, route[1:]):
-            verdict = "deliver"
-            if self.link_faults is not None:
-                verdict = self.link_faults.hop_verdict(
-                    hop_src, hop_dst, message.kind
-                )
-            if verdict == "drop":
-                self._drop("fault")
-                return False
-            if not self._hop_succeeds():
-                self._drop("loss")
-                return False
-            repeats = 2 if verdict == "duplicate" else 1
-            if verdict == "duplicate":
-                self.stats.duplicated += 1
-            if verdict == "corrupt":
-                corrupted = True
-            self._account_hop(
-                hop_src, hop_dst, repeats, repeats * message.n_values
-            )
-        if corrupted:
-            # Airtime was paid on every hop, but the payload fails its
-            # integrity check at the destination.
-            self.stats.corrupted += 1
-            return False
-        self.stats.delivered += 1
-        return True
-
-    def unicast_bulk(self, message: Message, copies: int) -> int:
-        """Send ``copies`` identical messages; returns deliveries.
-
-        On ideal links (no loss, no fault model) this is the vectorized
-        equivalent of calling :meth:`unicast` ``copies`` times: the
-        route is resolved **once** and every counter — packet counts,
-        per-node tx/rx values, hop totals, per-link telemetry — is
-        advanced by the same amounts the per-message loop would
-        produce (counter-exact scaled accounting), so traffic stats
-        stay byte-identical while the Python cost drops from
-        ``O(copies x hops)`` to ``O(hops)``.
-
-        Lossy or fault-injected links draw per-message randomness, so
-        aggregation would change the RNG stream; in that case this
-        falls back to the per-message loop, preserving exact behaviour.
-        ``copies`` must be a non-negative integer (``TypeError`` /
-        ``ValueError``), as must ``message.n_values``.
-        """
-        copies = _copies(copies)
-        _check_values(message)
-        if copies == 0:
-            return 0
-        if self.loss_probability > 0.0 or self.link_faults is not None:
-            return sum(self.unicast(message) for __ in range(copies))
-        self.stats.sent += copies
-        route = self.router(self.topology, message.src, message.dst)
-        if route is None:
             self._drop("unroutable", copies)
             return 0
-        values = message.n_values * copies
-        for hop_src, hop_dst in zip(route, route[1:]):
-            self._account_hop(hop_src, hop_dst, copies, values)
-        self.stats.delivered += copies
-        return copies
+        if self.loss_probability == 0.0 and self.link_faults is None:
+            values = n * copies
+            for hop_src, hop_dst in zip(route, route[1:]):
+                self._account_hop(hop_src, hop_dst, copies, values)
+            stats.delivered += copies
+            return copies
+        delivered = 0
+        for __ in range(copies):
+            corrupted = False
+            for hop_src, hop_dst in zip(route, route[1:]):
+                verdict = "deliver"
+                if self.link_faults is not None:
+                    verdict = self.link_faults.hop_verdict(
+                        hop_src, hop_dst, message.kind
+                    )
+                if verdict == "drop":
+                    self._drop("fault")
+                    break
+                if not self._hop_succeeds():
+                    self._drop("loss")
+                    break
+                repeats = 2 if verdict == "duplicate" else 1
+                if verdict == "duplicate":
+                    stats.duplicated += 1
+                if verdict == "corrupt":
+                    corrupted = True
+                self._account_hop(hop_src, hop_dst, repeats, repeats * n)
+            else:
+                # A corrupted copy paid airtime on every hop, but its
+                # payload fails the integrity check at the destination.
+                if corrupted:
+                    stats.corrupted += 1
+                else:
+                    stats.delivered += 1
+                    delivered += 1
+        return delivered
 
     def account_compiled(self, program, copies: int) -> int:
         """Bulk accounting hook for compiled inference plans.
@@ -307,20 +290,19 @@ class Network:
         ``program`` is a :class:`repro.core.compiled.HopProgram`
         holding one inference's traffic pre-aggregated per directed
         link and per node; this applies ``copies`` inferences' worth
-        in one batched update per tally — the ``unicast_bulk``
-        counter-exact scaling generalized to the whole forward.  Every
+        in one batched update per tally — :meth:`unicast`'s scaled
+        ideal-link accounting generalized to the whole forward.  Every
         counter ends up exactly where replaying the transfer list
-        through :meth:`unicast_bulk` would put it (the compiled parity
+        through :meth:`unicast` would put it (the compiled parity
         suite pins this), while the Python cost drops from
         ``O(transfer groups x hops)`` route walks to ``O(nodes)``.
         The program's ``unroutable`` messages are counted as sent and
-        dropped with cause ``"unroutable"``, as :meth:`unicast_bulk`
-        drops a message with no route.
+        dropped with cause ``"unroutable"``, as :meth:`unicast` drops
+        a message with no route.
 
-        Plans are only compiled for ideal links, so unlike
-        :meth:`unicast_bulk` there is no lossy fallback here — calling
-        this on a lossy or fault-injected network is a programming
-        error and raises.
+        Plans are only compiled for ideal links, so there is no
+        sampled path here — calling this on a lossy or fault-injected
+        network is a programming error and raises.
         """
         copies = _copies(copies)
         if copies == 0:
@@ -385,7 +367,7 @@ class Network:
         session is installed and this topology is its only traffic
         source) that the metrics registry mirrors the counters.
         Returns ``[]`` when everything agrees, which the chaos suite
-        asserts under lossy ``unicast_bulk`` fallback."""
+        asserts over a lossy replay."""
         problems: List[str] = []
         stats = self.stats
         ledger = self.ledger

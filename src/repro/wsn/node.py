@@ -27,12 +27,13 @@ class SensorNode:
     ``rx_values``) read and write cells of the owning topology's
     :class:`~repro.wsn.ledger.TrafficLedger`.
 
-    ``alive`` and ``position`` are properties: mutating either bumps
+    ``alive`` and ``position`` are properties: changing either bumps
     the owning :class:`~repro.wsn.topology.Topology`'s epoch counter so
     its cached structure-of-arrays views, spatial index, and
     connectivity graph are invalidated exactly when the geometry
-    changes — and never on the hot traffic-counter updates.  A node
-    belongs to the topology that bound it last.
+    changes — never on a same-value assignment, and never on the hot
+    traffic-counter updates.  A node belongs to the topology that bound
+    it last.
     """
 
     def __init__(
@@ -74,9 +75,10 @@ class SensorNode:
             raise ValueError(
                 f"node {self.node_id} position must be finite, got {value!r}"
             )
-        self._position = (x, y)
-        if self._topology is not None:
+        position = (x, y)
+        if self._topology is not None and position != self._position:
             self._topology._invalidate()
+        self._position = position
 
     @property
     def alive(self) -> bool:
@@ -84,9 +86,10 @@ class SensorNode:
 
     @alive.setter
     def alive(self, value: bool) -> None:
-        self._alive = bool(value)
-        if self._topology is not None:
+        alive = bool(value)
+        if self._topology is not None and alive != self._alive:
             self._topology._invalidate()
+        self._alive = alive
 
     # -- dataclass-compatible surface ---------------------------------------
     def __repr__(self) -> str:

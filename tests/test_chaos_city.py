@@ -94,12 +94,12 @@ def test_city_chaos_reconciles(city):
             src = int(rng.choice(ids))
             dst = int(rng.choice(ids))
             net.unicast(Message(src, dst, n_values=int(rng.integers(1, 9))))
-        # Lossy links force unicast_bulk down the per-message fallback
-        # path — exactly the reconciliation surface the chaos suite is
-        # meant to stress.
+        # Lossy links make a multi-copy unicast sample copy by copy —
+        # exactly the reconciliation surface the chaos suite is meant
+        # to stress.
         src = int(rng.choice(ids))
         dst = int(rng.choice(ids))
-        net.unicast_bulk(Message(src, dst, n_values=3), copies=5)
+        net.unicast(Message(src, dst, n_values=3), copies=5)
 
     # Interleave fault phases and traffic so routes are resolved
     # against several distinct epochs of the cached graph.

@@ -92,6 +92,11 @@ class TestSweepCli:
         assert main(["sweep", "rng", "--grid", "nonsense"]) == 2
         assert "not of the form" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_jobs_below_one_exits_2(self, jobs, capsys):
+        assert main(["sweep", "rng", "--jobs", jobs]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+
     def test_parse_seeds_mixed_forms(self):
         from repro.cli import _parse_seeds
 

@@ -159,26 +159,17 @@ class TestCompiledParity:
         ref = ex.forward(x, count_traffic=False, plan=None)
         assert out.tobytes() == ref.tobytes()
 
-    def test_explicit_plan_object_accepted(self):
+    def test_plan_object_rejected(self):
+        """``plan`` selects a strategy; a plan object is not one."""
         model, graph, topo = make("conv_pool")
         placement = grid_correspondence_assignment(graph, topo)
         net = Network(topo)
         ex = DistributedExecutor(model, graph, placement, net)
-        plan = compile_plan(ex)
+        plan = ex.compiled_plan()
         assert isinstance(plan, CompiledPlan)
-        x = make_batch("conv_pool", 2)
-        out = ex.forward(x, plan=plan)
-        ref = ex.forward(x, plan=None)
-        assert out.tobytes() == ref.tobytes()
-
-    def test_foreign_plan_rejected(self):
-        model, graph, topo = make("conv_pool")
-        placement = grid_correspondence_assignment(graph, topo)
-        ex_a = DistributedExecutor(model, graph, placement, Network(topo))
-        ex_b = DistributedExecutor(model, graph, placement, Network(topo))
-        plan_a = compile_plan(ex_a)
-        with pytest.raises(ValueError, match="different network"):
-            ex_b.forward(make_batch("conv_pool", 1), plan=plan_a)
+        with pytest.raises(ValueError, match="'auto' or None"):
+            ex.forward(make_batch("conv_pool", 1), plan=plan)
+        assert net.stats.sent == 0
 
     @pytest.mark.parametrize("kind", sorted(MODELS))
     def test_oracle_digest_stable_and_compiled_matches(self, kind):
@@ -291,14 +282,6 @@ class TestFallbackTriggers:
 
         assert run("auto") == run(None)
 
-    def test_per_element_forces_event_path(self):
-        model, graph, topo = make("conv_pool")
-        placement = grid_correspondence_assignment(graph, topo)
-        net = Network(topo)
-        ex = DistributedExecutor(model, graph, placement, net)
-        ex.forward(make_batch("conv_pool", 2), per_element=True)
-        assert ex._compiled_plan is None
-
     def test_fallback_counter_carries_reason(self):
         from repro.obs.runtime import session
 
@@ -377,6 +360,30 @@ class TestTopologyEpochs:
         assert results[0] == results[1]
         assert results[0][2]["unroutable"] > 0
 
+    def test_same_value_alive_does_not_recompile(self, monkeypatch):
+        """Reviving every node (what each fault injection does) leaves
+        the plan of an all-alive topology in place."""
+        import repro.core.executor as executor_module
+
+        compiles = []
+        real_compile = executor_module.compile_plan
+
+        def counting_compile(ex):
+            compiles.append(ex.network.topology.epoch)
+            return real_compile(ex)
+
+        monkeypatch.setattr(executor_module, "compile_plan",
+                            counting_compile)
+        topo, net, ex = self._setup()
+        x = make_batch("conv_pool", 2)
+        ex.forward(x)
+        plan = ex._compiled_plan
+        for node in topo:
+            node.alive = True
+        ex.forward(x)
+        assert ex._compiled_plan is plan
+        assert len(compiles) == 1
+
     def test_move_after_compile_recompiles_per_epoch(self, monkeypatch):
         """A relay moves, then moves out of range: the compiled
         counters equal the oracle's after every step, with exactly
@@ -415,13 +422,6 @@ class TestTopologyEpochs:
         assert len(compiles) == 3  # the oracle never compiles
         assert compiled_steps == oracle_steps
         assert oracle_steps[-1][1].get("unroutable", 0) > 0
-
-    def test_stale_explicit_plan_rejected(self):
-        topo, net, ex = self._setup()
-        plan = compile_plan(ex)
-        topo.node(3).alive = False
-        with pytest.raises(ValueError, match="epoch"):
-            ex.forward(make_batch("conv_pool", 1), plan=plan)
 
 
 @pytest.mark.perf

@@ -148,6 +148,28 @@ class TestExecutor:
                     static.rx_values.get(node_id, 0)
                 ), f"node {node_id}"
 
+    def test_cost_report_follows_topology_changes(self):
+        """A node downed after a first report is costed by the next
+        one: the report equals a fresh model's and the executor's
+        measured traffic, unroutable transfers included."""
+        model, graph, topo = make()
+        placement = grid_correspondence_assignment(graph, topo)
+        net = Network(topo)
+        executor = DistributedExecutor(model, graph, placement, net)
+        before = executor.measured_cost_report()
+        assert before.unroutable == 0
+        topo.node(5).alive = False
+        after = executor.measured_cost_report()
+        fresh = CommunicationCostModel(graph, topo).inference_cost(placement)
+        assert (after.rx_values, after.unroutable) == (
+            fresh.rx_values, fresh.unroutable
+        )
+        assert after.unroutable > 0
+        assert after.total_rx() < before.total_rx()
+        executor.forward(RNG.normal(size=(1, 1, 10, 10)))
+        assert dict(net.stats.per_node_rx_values) == after.rx_values
+        assert net.stats.dropped_causes == {"unroutable": after.unroutable}
+
     def test_traffic_scales_with_batch(self):
         model, graph, topo = make()
         placement = grid_correspondence_assignment(graph, topo)

@@ -233,8 +233,8 @@ def test_telemetry_reconciles_with_fault_trace(trained):
 
 @pytest.mark.chaos
 def test_telemetry_reconciles_under_lossy_bulk_fallback(trained):
-    """`unicast_bulk` falls back to the per-message loop on lossy
-    links; the reconciliation must survive that path too."""
+    """A multi-copy `unicast` samples copy by copy on lossy links;
+    the reconciliation must survive that path too."""
     from repro import obs
     from repro.core import DistributedExecutor
     from repro.wsn import Network

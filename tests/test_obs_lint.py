@@ -593,3 +593,53 @@ def test_topology_walk_lint_detects_violations():
         "        return self.other.node(3)\n",
     ):
         assert not topology_walks(ast.parse(src), methods), src
+
+
+#: The traffic ledger's write paths.  Only the network's two send
+#: engines — :meth:`Network.unicast` (through ``_account_hop``) and
+#: :meth:`Network.account_compiled` — may reach them, so every traffic
+#: counter has exactly those two writers.
+_LEDGER_WRITES = ("add_hop", "add_program")
+
+
+def ledger_write_offenders(tree):
+    """Lines that reference a ledger write path as an attribute (a
+    call or an alias of the bound method)."""
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in _LEDGER_WRITES
+    ]
+
+
+def test_only_the_network_writes_the_ledger():
+    allowed = SRC / "wsn" / "network.py"
+    offenders = []
+    for path in sorted(SRC.rglob("*.py")):
+        lines = ledger_write_offenders(
+            ast.parse(path.read_text(), filename=str(path))
+        )
+        if path == allowed:
+            assert lines, "network.py no longer writes the ledger"
+            continue
+        offenders += [f"{path.relative_to(SRC.parent)}:{n}" for n in lines]
+    assert offenders == [], (
+        "only repro/wsn/network.py may call TrafficLedger.add_hop / "
+        f"add_program (send through Network instead): {offenders}"
+    )
+
+
+def test_ledger_write_lint_detects_violations():
+    for src in (
+        "ledger.add_hop(w, 0, 1, 1, 4)\n",
+        "self.ledger.add_program(w, p, 3)\n",
+        "def f(net):\n    net.topology.ledger.add_hop(w, 0, 1, 1, 4)\n",
+        "write = ledger.add_program\n",
+    ):
+        assert ledger_write_offenders(ast.parse(src)), src
+    for src in (
+        "ledger.hop(0, 1)\n",
+        "class L:\n    def add_hop(self, w, s, d, p, v):\n        pass\n",
+        "network.account_compiled(p, 3)\n",
+        "name = 'add_hop'\n",
+    ):
+        assert not ledger_write_offenders(ast.parse(src)), src

@@ -21,6 +21,7 @@ from repro.nn.layers.im2col import (
     im2col,
     im2col_cached,
 )
+from repro.perf import forward_reference
 from repro.wsn import GridTopology, Network
 
 RNG = np.random.default_rng(91)
@@ -67,8 +68,9 @@ STRATEGIES = [
 class TestReplayParity:
     @pytest.mark.parametrize("batch", [1, 3, 32])
     def test_aggregated_replay_matches_per_element_stats(self, batch):
-        """The headline parity: bulk replay leaves every traffic
-        counter byte-identical to the per-element loop."""
+        """The headline parity: the aggregated replay leaves every
+        traffic counter byte-identical to one single-copy ``unicast``
+        per transfer per batch element."""
         model, graph, topo = make()
         for strategy in STRATEGIES:
             placement = strategy(graph, topo)
@@ -81,7 +83,7 @@ class TestReplayParity:
 
             net_ref = Network(topo)
             ex_ref = DistributedExecutor(model, graph, placement, net_ref)
-            out_ref = ex_ref.forward(x, per_element=True)
+            out_ref = forward_reference(ex_ref, x)
             ref = stats_snapshot(net_ref)
             net_ref.reset_stats()
 
@@ -105,25 +107,41 @@ class TestReplayParity:
         net = Network(topo)
         from repro.wsn.network import Message
         with pytest.raises(ValueError):
-            net.unicast_bulk(Message(0, 1, 4), copies=-1)
-        assert net.unicast_bulk(Message(0, 1, 4), copies=0) == 0
+            net.unicast(Message(0, 1, 4), copies=-1)
+        assert net.unicast(Message(0, 1, 4), copies=0) == 0
         assert net.stats.sent == 0
 
     def test_bulk_falls_back_per_message_on_lossy_links(self):
-        """Lossy links draw per-message randomness; bulk must follow
-        the exact same RNG stream as the unicast loop."""
+        """Lossy links and link-fault models draw per-message
+        randomness; ``copies=20`` must follow the exact same RNG stream
+        (and fault verdicts) as 20 single sends."""
+        from repro.faults import LinkFaultModel
         from repro.wsn.network import Message
-        __, __, topo = make()
-        net_a = Network(topo, loss_probability=0.4, max_retries=0,
-                        rng=np.random.default_rng(7))
-        net_b = Network(topo, loss_probability=0.4, max_retries=0,
-                        rng=np.random.default_rng(7))
-        delivered_bulk = net_a.unicast_bulk(Message(0, 15, 3), copies=20)
-        delivered_loop = sum(
-            net_b.unicast(Message(0, 15, 3)) for __ in range(20)
-        )
-        assert delivered_bulk == delivered_loop
-        assert stats_snapshot(net_a) == stats_snapshot(net_b)
+
+        def lossy(topo):
+            return Network(topo, loss_probability=0.4, max_retries=0,
+                           rng=np.random.default_rng(7))
+
+        def faulty(topo):
+            return Network(topo, link_faults=LinkFaultModel(
+                loss_rate=0.1, corrupt_rate=0.2, duplicate_rate=0.2,
+                seed=7,
+            ))
+
+        for network in (lossy, faulty):
+            net_a, net_b = network(make()[2]), network(make()[2])
+            delivered_bulk = net_a.unicast(Message(0, 15, 3), copies=20)
+            delivered_loop = sum(
+                net_b.unicast(Message(0, 15, 3)) for __ in range(20)
+            )
+            assert delivered_bulk == delivered_loop
+            assert stats_snapshot(net_a) == stats_snapshot(net_b)
+            assert net_a.stats.dropped_causes == net_b.stats.dropped_causes
+            assert net_a.ledger.link_src == net_b.ledger.link_src
+            assert net_a.ledger.link_dst == net_b.ledger.link_dst
+            assert net_a.ledger.links().tolist() == \
+                net_b.ledger.links().tolist()
+        assert net_a.stats.corrupted and net_a.stats.duplicated
 
 
 class TestMaskedParity:

@@ -21,6 +21,7 @@ from repro.core import (
     round_robin_assignment,
 )
 from repro.nn import Conv2D, Dense, Flatten, MaxPool2D, ReLU, Sequential
+from repro.perf import replay_traffic_reference
 from repro.sim import Simulator
 from repro.wsn import GridTopology, Network
 
@@ -34,17 +35,11 @@ class SpyNetwork(Network):
         super().__init__(topology)
         self.log = []
 
-    def unicast(self, message):
-        self.log.append(
-            (message.src, message.dst, message.n_values, message.kind, 1)
-        )
-        return super().unicast(message)
-
-    def unicast_bulk(self, message, copies):
+    def unicast(self, message, copies=1):
         self.log.append(
             (message.src, message.dst, message.n_values, message.kind, copies)
         )
-        return super().unicast_bulk(message, copies)
+        return super().unicast(message, copies=copies)
 
 
 def build_case(rng, input_hw=(8, 8)):
@@ -75,8 +70,8 @@ def build_case(rng, input_hw=(8, 8)):
 class TestReplayConservation:
     @pytest.mark.parametrize("trial", range(8))
     def test_aggregation_conserves_transfer_multiset(self, trial):
-        """Sum over bulk sends == the per-element multiset, for any
-        random placement/topology/batch."""
+        """Sum over multi-copy sends == the per-transfer, per-element
+        multiset, for any random placement/topology/batch."""
         rng = np.random.default_rng(1000 + trial)
         model, graph, topo, placement = build_case(rng)
         batch = int(rng.integers(1, 9))
@@ -87,7 +82,7 @@ class TestReplayConservation:
 
         spy_ref = SpyNetwork(topo)
         ex_ref = DistributedExecutor(model, graph, placement, spy_ref)
-        ex_ref.replay_traffic(batch, per_element=True)
+        replay_traffic_reference(ex_ref, batch)
 
         def multiset(log):
             counts = Counter()
@@ -112,8 +107,8 @@ class TestReplayConservation:
             batch
         )
         net_ref = Network(topo)
-        DistributedExecutor(model, graph, placement, net_ref).replay_traffic(
-            batch, per_element=True
+        replay_traffic_reference(
+            DistributedExecutor(model, graph, placement, net_ref), batch
         )
         assert dict(net_fast.stats.per_node_rx_values) == (
             dict(net_ref.stats.per_node_rx_values)

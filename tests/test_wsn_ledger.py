@@ -30,7 +30,7 @@ class TestPerNodeKeys:
 
     def test_zero_value_bulk_creates_keys_holding_zero(self):
         net = Network(_line())
-        assert net.unicast_bulk(Message(2, 1, 0), 3) == 3
+        assert net.unicast(Message(2, 1, 0), copies=3) == 3
         assert dict(net.stats.per_node_tx_values) == {2: 0}
         assert dict(net.stats.per_node_rx_values) == {1: 0}
         assert net.topology.node(1).rx_count == 3
@@ -220,7 +220,7 @@ class TestPickle:
         topo = GridTopology(3, 3)
         net = Network(topo)
         net.unicast(Message(0, 8, 4))
-        net.unicast_bulk(Message(2, 6, 3), 2)
+        net.unicast(Message(2, 6, 3), copies=2)
         return topo, net
 
     def test_round_trip_preserves_counters(self):
@@ -238,7 +238,7 @@ class TestPickle:
         before = topo.node(8).rx_values
         topo2, net2 = pickle.loads(pickle.dumps((topo, net)))
         assert net2.unicast(Message(0, 8, 10))
-        net2.unicast_bulk(Message(0, 8, 1), 3)
+        net2.unicast(Message(0, 8, 1), copies=3)
         assert topo2.node(8).rx_values == before + 13
         assert net2.stats.rx_values_of(8) == before + 13
         topo2.node(8).rx_values += 1
@@ -269,7 +269,7 @@ def test_compiled_accounting_matches_bulk_replay():
     )
     compiled, replayed = Network(_line()), Network(_line())
     assert compiled.account_compiled(program, 3) == 3
-    replayed.unicast_bulk(Message(0, 2, 0), 3)
+    replayed.unicast(Message(0, 2, 0), copies=3)
     for attr in ("per_node_rx_values", "per_node_tx_values"):
         assert dict(getattr(compiled.stats, attr)) == \
             dict(getattr(replayed.stats, attr))
@@ -280,7 +280,7 @@ def test_compiled_accounting_matches_bulk_replay():
 @pytest.mark.parametrize("copies", [0, 1, 5])
 def test_bulk_equals_repeated_unicast(copies):
     bulk, loop = Network(GridTopology(3, 3)), Network(GridTopology(3, 3))
-    bulk.unicast_bulk(Message(0, 8, 3), copies)
+    bulk.unicast(Message(0, 8, 3), copies=copies)
     for __ in range(copies):
         loop.unicast(Message(0, 8, 3))
     assert dict(bulk.stats.per_node_rx_values) == \
@@ -334,10 +334,10 @@ class TestNValuesValidation:
         msg = Message(0, 2, 1)
         msg.n_values = -3
         with pytest.raises(ValueError, match="n_values"):
-            net.unicast_bulk(msg, 2)
+            net.unicast(msg, copies=2)
         msg.n_values = 1.5
         with pytest.raises(ValueError, match="n_values"):
-            net.unicast_bulk(msg, 2)
+            net.unicast(msg, copies=2)
         assert _untouched(net)
 
     def test_lossy_unicast_bulk_rejects_negative_n_values(self):
@@ -346,7 +346,7 @@ class TestNValuesValidation:
         msg = Message(0, 2, 1)
         msg.n_values = -3
         with pytest.raises(ValueError, match="n_values"):
-            net.unicast_bulk(msg, 2)
+            net.unicast(msg, copies=2)
         assert _untouched(net)
 
     def test_broadcast_rejects_negative_n_values(self):
@@ -360,18 +360,18 @@ class TestCopiesValidation:
     def test_unicast_bulk_rejects_fractional_copies(self):
         net = Network(_line())
         with pytest.raises(TypeError):
-            net.unicast_bulk(Message(0, 2, 1), 2.5)
+            net.unicast(Message(0, 2, 1), copies=2.5)
         assert _untouched(net)
 
     def test_unicast_bulk_rejects_negative_copies(self):
         net = Network(_line())
         with pytest.raises(ValueError, match="non-negative"):
-            net.unicast_bulk(Message(0, 2, 1), -1)
+            net.unicast(Message(0, 2, 1), copies=-1)
         assert _untouched(net)
 
     def test_unicast_bulk_accepts_numpy_integer_copies(self):
         net = Network(_line())
-        assert net.unicast_bulk(Message(0, 2, 1), np.int64(2)) == 2
+        assert net.unicast(Message(0, 2, 1), copies=np.int64(2)) == 2
         assert type(net.stats.sent) is int and net.stats.sent == 2
 
     def test_account_compiled_rejects_fractional_copies(self):

@@ -239,6 +239,28 @@ class TestEpochInvalidation:
         topo.node(0).position = (0.25, 0.25)
         assert topo.epoch == e0 + 2
 
+    def test_same_value_alive_keeps_epoch(self):
+        topo = GridTopology(3, 3)
+        e0 = topo.epoch
+        topo.node(0).alive = True
+        topo.node(4).alive = False
+        topo.node(4).alive = False
+        topo.node(4).fail()
+        assert topo.epoch == e0 + 1
+
+    def test_same_value_position_keeps_epoch(self):
+        topo = GridTopology(3, 3)
+        node = topo.node(4)
+        e0 = topo.epoch
+        node.position = tuple(node.position)
+        node.position = [float(node.position[0]), float(node.position[1])]
+        assert topo.epoch == e0
+        with pytest.raises(ValueError, match="finite"):
+            node.position = (float("nan"), node.position[1])
+        assert topo.epoch == e0
+        node.position = (node.position[0] + 0.5, node.position[1])
+        assert topo.epoch == e0 + 1
+
     def test_counter_updates_do_not_bump_epoch(self):
         topo = GridTopology(2, 2)
         e0 = topo.epoch
@@ -363,7 +385,7 @@ class TestRoutingContract:
     def test_bulk_attributes_unroutable_per_copy(self, topo):
         net = Network(topo)
         topo.node(0).alive = False
-        assert net.unicast_bulk(Message(1, 0, 3), copies=4) == 0
+        assert net.unicast(Message(1, 0, 3), copies=4) == 0
         assert net.stats.dropped == 4
         assert net.stats.dropped_causes == {"unroutable": 4}
 
